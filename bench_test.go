@@ -186,15 +186,15 @@ func BenchmarkFig2MatrixBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2MatrixBuildParallel benchmarks the sharded
-// BuildParallel at the paper's p=6, which also carries the arena and
-// slab-assembly optimizations (labels bit-identical to Build).
+// BenchmarkFig2MatrixBuildParallel benchmarks a one-shot
+// Patcher.Rebuild sharded at the paper's p=6 (labels bit-identical to
+// a one-worker build).
 func BenchmarkFig2MatrixBuildParallel(b *testing.B) {
 	nw := benchCircuit(b, "dalu")
 	nodes := nw.NodeVars()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		kcm.BuildParallel(context.Background(), nw, nodes, kernels.Options{}, 6)
+		kcm.NewPatcher(0, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 6)
 	}
 }
 

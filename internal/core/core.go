@@ -35,12 +35,6 @@ type Options struct {
 	// per-driver node partition regardless of how many real
 	// goroutines kernel the nodes.
 	BuildWorkers int
-	// DisableIncremental is an ablation/escape switch: rebuild every
-	// KC matrix from scratch instead of re-kerneling only the nodes
-	// dirtied since the previous call. Results are bit-identical
-	// either way; only the wall-clock build cost (and the honest
-	// vtime charge for reused rows) changes.
-	DisableIncremental bool
 	// Model supplies the virtual-time cost constants; the zero
 	// value means vtime.DefaultModel().
 	Model vtime.Model
@@ -115,8 +109,7 @@ type RunResult struct {
 	Recovered int
 	// Build sums the run's matrix-build counters: nodes re-kerneled
 	// vs served from the incremental cache, wall time inside builds,
-	// and arena bytes recycled. Zero when DisableIncremental bypassed
-	// the patcher layer.
+	// and arena bytes recycled.
 	Build kcm.BuildStats
 	// Failure is non-nil when the run could not be completed because
 	// of a worker panic or straggler the driver could not absorb
@@ -145,11 +138,10 @@ func Sequential(ctx context.Context, nw *network.Network, opt Options) RunResult
 	mc := vtime.NewMachine(1, opt.model())
 	start := time.Now()
 	res, calls := extract.Repeat(ctx, nw, nil, extract.Options{
-		Kernel:             opt.Kernel,
-		Rect:               opt.Rect,
-		BatchK:             opt.BatchK,
-		BuildWorkers:       opt.BuildWorkers,
-		DisableIncremental: opt.DisableIncremental,
+		Kernel:       opt.Kernel,
+		Rect:         opt.Rect,
+		BatchK:       opt.BatchK,
+		BuildWorkers: opt.BuildWorkers,
 	})
 	chargeWork(mc, 0, res.Work)
 	return RunResult{

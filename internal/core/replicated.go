@@ -58,10 +58,7 @@ func Replicated(ctx context.Context, nw *network.Network, p int, opt Options) Ru
 	// dirtied. Virtual time still charges the §3 model — only work
 	// actually redone is charged to the generation phase, and every
 	// worker still pays the full redundant merge.
-	var pat *kcm.Patcher
-	if !opt.DisableIncremental {
-		pat = kcm.NewPatcher(0, opt.Kernel)
-	}
+	pat := kcm.NewPatcher(0, opt.Kernel)
 
 	for {
 		if ctx.Err() != nil {
@@ -96,9 +93,7 @@ func Replicated(ctx context.Context, nw *network.Network, p int, opt Options) Ru
 	res.TotalWork = mc.TotalWork()
 	res.Barriers = mc.Barriers()
 	res.WallClock = time.Since(start)
-	if pat != nil {
-		res.Build = pat.Stats()
-	}
+	res.Build = pat.Stats()
 	return res
 }
 
@@ -122,20 +117,13 @@ func Replicated(ctx context.Context, nw *network.Network, p int, opt Options) Ru
 // worker can be mid-division when another has already moved on.
 func replicatedCall(ctx context.Context, nets []*network.Network, active []sop.Var, opt Options, mc *vtime.Machine, pat *kcm.Patcher) (bool, bool, error) {
 	p := len(nets)
-	mats := make([]*kcm.Matrix, p)
 	bests := make([]rect.Rect, p)
-	// Incremental build state (pat non-nil): the workers fill one
-	// batch each with the pending nodes' kernels, the coordinator
-	// assembles the single shared matrix, and the phase barrier
-	// publishes it. With from-scratch builds every worker instead
-	// merges its own private copy.
-	var bs []*kcm.Batch
-	var pending []sop.Var
+	// The workers fill one batch each with the pending nodes' kernels,
+	// the coordinator assembles the single shared matrix, and the
+	// phase barrier publishes it.
+	bs := pat.MakeBatches(p)
+	pending := pat.Pending(active)
 	var shared *kcm.Matrix
-	if pat != nil {
-		bs = pat.MakeBatches(p)
-		pending = pat.Pending(active)
-	}
 	dnf := false
 	var ctxDone atomic.Bool
 	cancelled := false
@@ -155,82 +143,44 @@ func replicatedCall(ctx context.Context, nets []*network.Network, active []sop.V
 		wg.Add(1)
 		body := func(w int) {
 			net := nets[w]
-			var merged *kcm.Matrix
 
 			fault.Inject(fault.PointReplicatedMatrix)
-			if pat != nil {
-				// Phase 1 (incremental): kernel this worker's
-				// round-robin share of the nodes needing
-				// (re)generation; rows served from the patcher's
-				// cache cost nothing. Replicas evolve identically,
-				// so protos kerneled from any replica are
-				// bit-identical.
-				for i := w; i < len(pending); i += p {
-					bs[w].Kernel(net, pending[i])
-				}
-				pairs, entries := bs[w].Counts()
-				mc.ChargeKernelPairs(w, int(pairs))
-				mc.ChargeMatrixEntries(w, int(entries))
-				// Broadcast this worker's fresh kernels to every peer.
-				mc.ChargeBroadcast(w, int(entries))
-				if !mc.Barrier(w) {
-					return
-				}
+			// Phase 1: kernel this worker's round-robin share of the
+			// nodes needing (re)generation; rows served from the
+			// patcher's cache cost nothing. Replicas evolve
+			// identically, so protos kerneled from any replica are
+			// bit-identical.
+			for i := w; i < len(pending); i += p {
+				bs[w].Kernel(net, pending[i])
+			}
+			pairs, entries := bs[w].Counts()
+			mc.ChargeKernelPairs(w, int(pairs))
+			mc.ChargeMatrixEntries(w, int(entries))
+			// Broadcast this worker's fresh kernels to every peer.
+			mc.ChargeBroadcast(w, int(entries))
+			if !mc.Barrier(w) {
+				return
+			}
 
-				// Phase 2: one deterministic assemble — bit-identical
-				// to the per-worker merge below — published to every
-				// replica by the barrier. The coordinator pre-builds
-				// the lazy dense index and sorted column list so the
-				// shared matrix is strictly read-only during the
-				// cover.
-				if w == 0 {
-					pat.Commit(bs...)
-					shared = pat.Assemble(active)
-					shared.Index()
-					shared.SortedColIDs()
-				}
-				if !mc.Barrier(w) {
-					return
-				}
-				merged = shared
-				// Each replica still pays the full redundant merge
-				// cost the §3 model charges the algorithm for.
-				mc.ChargeMatrixEntries(w, merged.NumEntries())
-				if !mc.Barrier(w) {
-					return
-				}
-			} else {
-				// Phase 1: generate kernels for this worker's share
-				// of the nodes (round-robin split), with offset
-				// labels so all merged matrices agree.
-				b := kcm.NewBuilder(w, opt.Kernel)
-				for i, v := range active {
-					if i%p == w {
-						b.AddNode(net, v)
-					}
-				}
-				mats[w] = b.Matrix()
-				mc.ChargeKernelPairs(w, len(mats[w].Rows()))
-				mc.ChargeMatrixEntries(w, mats[w].NumEntries())
-				// Broadcast this worker's kernels to every peer.
-				mc.ChargeBroadcast(w, mats[w].NumEntries())
-				if !mc.Barrier(w) {
-					return
-				}
-
-				// Phase 2: every worker assembles its own full copy
-				// of the matrix — identical labels everywhere, and
-				// redundant work everywhere.
-				merged = kcm.NewMatrix()
-				total := 0
-				for j := 0; j < p; j++ {
-					kcm.Merge(merged, mats[j])
-					total += mats[j].NumEntries()
-				}
-				mc.ChargeMatrixEntries(w, total)
-				if !mc.Barrier(w) {
-					return
-				}
+			// Phase 2: one deterministic assemble, published to every
+			// replica by the barrier. The coordinator pre-builds the
+			// lazy dense index and sorted column list so the shared
+			// matrix is strictly read-only during the cover.
+			if w == 0 {
+				pat.Commit(bs...)
+				shared = pat.Assemble(active)
+				shared.Index()
+				shared.SortedColIDs()
+			}
+			if !mc.Barrier(w) {
+				return
+			}
+			merged := shared
+			// Each replica still pays the full redundant merge cost
+			// the §3 model charges the algorithm for.
+			mc.ChargeMatrixEntries(w, merged.NumEntries())
+			if !mc.Barrier(w) {
+				return
 			}
 
 			// Phase 3: lockstep greedy cover. Each worker owns a
@@ -294,7 +244,7 @@ func replicatedCall(ctx context.Context, nets []*network.Network, active []sop.V
 				fault.Inject(fault.PointReplicatedDivide)
 				kernel := extract.KernelOf(merged, winner)
 				_, dirty, touched, _ := extract.ApplyRect(net, merged, winner, kernel, covered)
-				if pat != nil && w == 0 {
+				if w == 0 {
 					// Every replica rewrites the same nodes; the
 					// coordinator queues them for re-kerneling at
 					// the next call's build.

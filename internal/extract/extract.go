@@ -54,10 +54,6 @@ type Options struct {
 	// 0 picks GOMAXPROCS; the result is bit-identical to a sequential
 	// build for any value.
 	BuildWorkers int
-	// DisableIncremental stops Repeat from owning a Patcher across
-	// calls, so every call rebuilds its matrix from scratch (still via
-	// the parallel proto build). Ignored when Patcher is non-nil.
-	DisableIncremental bool
 }
 
 // Work quantifies the computation an extraction performed. The
@@ -203,7 +199,7 @@ outer:
 func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) (Result, int) {
 	var total Result
 	calls := 0
-	if opt.Patcher == nil && !opt.DisableIncremental {
+	if opt.Patcher == nil {
 		opt.Patcher = kcm.NewPatcher(0, opt.Kernel)
 	}
 	active := nodes

@@ -1,12 +1,15 @@
 package extract
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blif"
 	"repro/internal/equiv"
+	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
 	"repro/internal/network"
@@ -289,3 +292,70 @@ func randomNetwork(r *rand.Rand) *network.Network {
 
 // rectArg aliases rect.Rect for the OnExtract signature.
 type rectArg = rect.Rect
+
+// TestRepeatPatcherMatchesFreshPatchers pins the equivalence the
+// incremental build rests on: Repeat, which shares one Patcher across
+// all its calls, factors exactly like a loop of KernelExtract calls
+// that each build their matrix from scratch with a call-local
+// patcher — byte-identical BLIF and equal extraction, search and
+// division counters.
+func TestRepeatPatcherMatchesFreshPatchers(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		circuit string
+		opt     Options
+	}{
+		{"misex3", Options{Rect: rect.Config{MaxCols: 5, MaxVisits: 50000}, BatchK: 16}},
+		{"dalu", Options{Rect: rect.Config{MaxVisits: 20000}}},
+	} {
+		t.Run(tc.circuit, func(t *testing.T) {
+			// Two independent copies: a Clone would share the name
+			// table, and with it the counter naming new nodes.
+			shared, err := gen.Benchmark(tc.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := gen.Benchmark(tc.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got, gotCalls := Repeat(ctx, shared, nil, tc.opt)
+
+			var want Result
+			wantCalls := 0
+			active := fresh.NodeVars()
+			for {
+				wantCalls++
+				before := fresh.NumNodes()
+				res := KernelExtract(ctx, fresh, active, tc.opt)
+				want.Extracted += res.Extracted
+				want.Iterations += res.Iterations
+				want.Work.Add(res.Work)
+				if res.Extracted == 0 {
+					break
+				}
+				active = append(active, fresh.NodeVars()[before:]...)
+			}
+
+			if got.Extracted != want.Extracted || got.Iterations != want.Iterations ||
+				got.Work.SearchVisits != want.Work.SearchVisits ||
+				got.Work.DivisionCubes != want.Work.DivisionCubes || gotCalls != wantCalls {
+				t.Fatalf("shared patcher: extracted %d, iterations %d, visits %d, division cubes %d, calls %d; "+
+					"fresh patchers: %d, %d, %d, %d, %d",
+					got.Extracted, got.Iterations, got.Work.SearchVisits, got.Work.DivisionCubes, gotCalls,
+					want.Extracted, want.Iterations, want.Work.SearchVisits, want.Work.DivisionCubes, wantCalls)
+			}
+			var a, b bytes.Buffer
+			if err := blif.Write(&a, shared); err != nil {
+				t.Fatal(err)
+			}
+			if err := blif.Write(&b, fresh); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("BLIF differs between shared and fresh patchers (%d vs %d bytes)", a.Len(), b.Len())
+			}
+		})
+	}
+}

@@ -9,6 +9,12 @@
 // at p·Stride+1, so concurrently generated matrices carry globally
 // consistent labels no matter the interleaving.
 //
+// Every matrix is built by a Patcher (patch.go): NewPatcher(p, opts)
+// labels from p·Stride+1, Rebuild kernels across any number of
+// workers and re-kernels only nodes marked dirty, and Build is a
+// one-shot proc-0 Rebuild. The result is bit-identical for any worker
+// count and any amount of cache reuse.
+//
 // The package is determinism-critical: label order drives the Figure 1
 // enumeration, so iteration order must never depend on Go map order
 // (DESIGN.md §7).
@@ -75,9 +81,7 @@ type Col struct {
 	// RowIDs lists the rows with an entry in this column, sorted.
 	RowIDs []int64
 	// unsorted is set when an AddRow appended a row id out of order;
-	// sortColRows only pays for sorting on such columns. Builder
-	// insertion draws strictly increasing row ids, so in the common
-	// case no column ever needs an actual sort.
+	// sortColRows only pays for sorting on such columns.
 	unsorted bool
 	// pos is the column's index in Matrix.cols, letting the bulk
 	// assemble path address per-column scratch by slice index instead
@@ -104,8 +108,7 @@ type Matrix struct {
 	// dense covered-cube bitsets of internal/rect.
 	maxCubeID int64
 	// sortedCols caches SortedColIDs; index caches the dense Index.
-	// Both are dropped by any structural mutation (addRow, internCol,
-	// Merge relabeling).
+	// Both are dropped by any structural mutation (addRow, internCol).
 	sortedCols []int64
 	index      *Index
 }
@@ -155,7 +158,7 @@ func (m *Matrix) Sparsity() float64 {
 // SortedColIDs returns all column ids in increasing label order; the
 // divide-and-conquer search of §3 slices this list across processors.
 // The result is cached until the next structural mutation (AddRow,
-// InternColumn, Merge) and must be treated as read-only.
+// InternColumn) and must be treated as read-only.
 func (m *Matrix) SortedColIDs() []int64 {
 	if m.sortedCols == nil && len(m.cols) > 0 {
 		ids := make([]int64, len(m.cols))

@@ -2,29 +2,26 @@ package kcm
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/kernels"
 	"repro/internal/network"
+	"repro/internal/sop"
 )
 
 // buildPaperPartition builds the Figure 2 setting: partition {F} on
-// proc 1's builder and {G,H} on proc 0's builder (Example 5.1 order).
+// proc 1's patcher and {G,H} on proc 0's patcher (Example 5.1 order).
 func buildPaperPartition(t *testing.T) (*network.Network, *Matrix, *Matrix) {
 	t.Helper()
+	ctx := context.Background()
 	nw := network.PaperExample()
 	F, _ := nw.Names.Lookup("F")
 	G, _ := nw.Names.Lookup("G")
 	H, _ := nw.Names.Lookup("H")
-	b0 := NewBuilder(0, kernels.Options{})
-	b0.AddNode(nw, G)
-	b0.AddNode(nw, H)
-	b1 := NewBuilder(1, kernels.Options{})
-	b1.AddNode(nw, F)
-	return nw, b0.Matrix(), b1.Matrix()
+	m0 := NewPatcher(0, kernels.Options{}).Rebuild(ctx, nw, []sop.Var{G, H}, 1)
+	m1 := NewPatcher(1, kernels.Options{}).Rebuild(ctx, nw, []sop.Var{F}, 1)
+	return nw, m0, m1
 }
 
 func TestPaperMatrixShapes(t *testing.T) {
@@ -47,7 +44,7 @@ func TestPaperMatrixShapes(t *testing.T) {
 }
 
 func TestOffsetLabeling(t *testing.T) {
-	_, m0, m1 := buildPaperPartition(t)
+	nw, m0, m1 := buildPaperPartition(t)
 	for _, r := range m0.Rows() {
 		if r.ID < 1 || r.ID >= Stride {
 			t.Fatalf("proc0 row id %d outside [1,%d)", r.ID, Stride)
@@ -60,13 +57,18 @@ func TestOffsetLabeling(t *testing.T) {
 	}
 	// Paper §5.2: "the index of the first kernel in processor 2
 	// will be 200001".
-	b2 := NewBuilder(2, kernels.Options{})
-	nw := network.PaperExample()
 	G, _ := nw.Names.Lookup("G")
-	b2.AddNode(nw, G)
-	if got := b2.Matrix().Rows()[0].ID; got != 200001 {
+	m2 := NewPatcher(2, kernels.Options{}).Rebuild(context.Background(), nw, []sop.Var{G}, 1)
+	if got := m2.Rows()[0].ID; got != 200001 {
 		t.Fatalf("first row id on proc 2 = %d want 200001", got)
 	}
+	// Every label matches the node-at-a-time reference Builder on the
+	// same processor.
+	F, _ := nw.Names.Lookup("F")
+	H, _ := nw.Names.Lookup("H")
+	requireIdentical(t, referenceBuild(nw, []sop.Var{G, H}, 0, kernels.Options{}), m0)
+	requireIdentical(t, referenceBuild(nw, []sop.Var{F}, 1, kernels.Options{}), m1)
+	requireIdentical(t, referenceBuild(nw, []sop.Var{G}, 2, kernels.Options{}), m2)
 }
 
 func TestEntriesDenoteFunctionCubes(t *testing.T) {
@@ -147,84 +149,6 @@ func TestSparsity(t *testing.T) {
 	}
 }
 
-func TestMergeUnifiesColumns(t *testing.T) {
-	_, m0, m1 := buildPaperPartition(t)
-	rows0, rows1 := len(m0.Rows()), len(m1.Rows())
-	Merge(m0, m1)
-	if len(m0.Rows()) != rows0+rows1 {
-		t.Fatalf("merged rows %d want %d", len(m0.Rows()), rows0+rows1)
-	}
-	// Distinct kernel cubes across both blocks: a,b,c,ce,f,de,g = 7.
-	if len(m0.Cols()) != 7 {
-		t.Fatalf("merged cols = %d want 7", len(m0.Cols()))
-	}
-	// Shared cubes a,b,c,f keep proc 0's (smaller) labels.
-	for _, c := range m0.Cols() {
-		switch len(c.Cube) {
-		case 1:
-			// single-literal columns from proc 0's range unless
-			// unique to proc 1 (g).
-		}
-	}
-	// Column back-references must be consistent.
-	for _, c := range m0.Cols() {
-		for _, rid := range c.RowIDs {
-			r := m0.Row(rid)
-			if r == nil {
-				t.Fatalf("col %d references missing row %d", c.ID, rid)
-			}
-			if _, ok := r.Entry(c.ID); !ok {
-				t.Fatalf("col %d references row %d without entry", c.ID, rid)
-			}
-		}
-	}
-}
-
-func TestMergeKeepsSmallerLabel(t *testing.T) {
-	// Merge proc1's matrix into an empty one first, then proc0's:
-	// shared columns must still end with proc0's smaller labels.
-	_, m0, m1 := buildPaperPartition(t)
-	dst := NewMatrix()
-	Merge(dst, m1)
-	Merge(dst, m0)
-	for _, c := range dst.Cols() {
-		if len(c.RowIDs) == 0 {
-			continue
-		}
-		hasProc0 := false
-		for _, rid := range c.RowIDs {
-			if rid < Stride {
-				hasProc0 = true
-			}
-		}
-		if hasProc0 && c.ID > Stride {
-			t.Fatalf("column %v used by proc0 rows kept proc1 label %d",
-				c.Cube, c.ID)
-		}
-	}
-}
-
-func TestMergeOrderIndependentLabels(t *testing.T) {
-	_, a0, a1 := buildPaperPartition(t)
-	_, b0, b1 := buildPaperPartition(t)
-	x := NewMatrix()
-	Merge(x, a0)
-	Merge(x, a1)
-	y := NewMatrix()
-	Merge(y, b1)
-	Merge(y, b0)
-	// Same column labels per cube either way.
-	for _, c := range x.Cols() {
-		yc := y.ColByCube(c.Cube)
-		if yc == nil || yc.ID != c.ID {
-			t.Fatalf("column %v labeled %d vs %v", c.Cube, c.ID, yc)
-		}
-	}
-	if x.NumEntries() != y.NumEntries() {
-		t.Fatal("entry counts differ between merge orders")
-	}
-}
-
 func TestBuildSequential(t *testing.T) {
 	nw := network.PaperExample()
 	m := Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
@@ -252,51 +176,4 @@ func TestDumpRendersAllRows(t *testing.T) {
 	if lines != len(m.Rows())+2 {
 		t.Fatalf("dump has %d lines want %d", lines, len(m.Rows())+2)
 	}
-}
-
-// Property: merging any 2-way split of the paper network's nodes
-// yields the same set of (node, cokernel, colcube) triples as the
-// sequential build, regardless of which builder got which node.
-func TestQuickMergeEqualsSequential(t *testing.T) {
-	nw := network.PaperExample()
-	nodes := nw.NodeVars()
-	seq := Build(context.Background(), nw, nodes, kernels.Options{})
-	seqTriples := tripleSet(nw, seq)
-	cfg := &quick.Config{MaxCount: 40}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		b := make([]*Builder, 2)
-		b[0] = NewBuilder(0, kernels.Options{})
-		b[1] = NewBuilder(1, kernels.Options{})
-		for _, v := range nodes {
-			b[r.Intn(2)].AddNode(nw, v)
-		}
-		dst := NewMatrix()
-		Merge(dst, b[0].Matrix())
-		Merge(dst, b[1].Matrix())
-		got := tripleSet(nw, dst)
-		if len(got) != len(seqTriples) {
-			return false
-		}
-		for k := range seqTriples {
-			if !got[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func tripleSet(nw *network.Network, m *Matrix) map[string]bool {
-	out := map[string]bool{}
-	for _, r := range m.Rows() {
-		for _, e := range r.Entries {
-			col := m.Col(e.Col)
-			out[nw.Names.Name(r.Node)+"|"+r.CoKernel.Key()+"|"+col.Cube.Key()] = true
-		}
-	}
-	return out
 }

@@ -1,15 +1,16 @@
 package kcm
 
-// This file implements the incremental matrix-build layer (DESIGN.md
+// This file implements the package's one matrix-build path (DESIGN.md
 // §12). Kernel generation is split from labeling: per node the
 // Patcher caches a label-free "proto" — (co-kernel, kernel cube,
 // function cube) triples in kernels.All order, with all cube storage
 // owned by a per-node arena — and a deterministic sequential assemble
-// pass assigns row/column/cube labels exactly as the sequential
-// Builder would. Because labels never live in the cache:
+// pass assigns row/column/cube labels in node order, kernel-pair
+// order and kernel-cube order, as a node-at-a-time build would.
+// Because labels never live in the cache:
 //
 //   - parallel kerneling (any worker count, any interleaving) yields a
-//     matrix bit-identical to the sequential Build, and
+//     matrix bit-identical to a one-worker build, and
 //   - re-kerneling only the nodes a division dirtied yields a matrix
 //     bit-identical to a from-scratch rebuild.
 //
@@ -75,15 +76,15 @@ func (s BuildStats) Sub(o BuildStats) BuildStats {
 // (co-kernel ∪ column) is not stored: it only determines the entry's
 // node-local cube ordinal and weight, both computed at kernel time so
 // the cube itself can live in per-batch scratch storage. ord = -1
-// records a contradictory union — the sequential Builder interns the
-// column but adds no entry, and assemble replicates that exactly.
+// records a contradictory union: assemble still interns the column
+// but adds no entry.
 type protoEntry struct {
 	col     sop.Cube
 	colHash uint64
 	// ord is the first-occurrence ordinal of the entry's function cube
-	// among the node's entries in emission order; the sequential
-	// Builder assigns cube ids in exactly that order, so assemble can
-	// label the cube nodeCubeBase + ord + 1 without re-hashing it.
+	// among the node's entries in emission order; cube ids are assigned
+	// in exactly that order, so assemble can label the cube
+	// nodeCubeBase + ord + 1 without re-hashing it.
 	ord    int32
 	weight int32
 }
@@ -130,7 +131,8 @@ type Patcher struct {
 }
 
 // NewPatcher returns a patcher whose assembled labels start at
-// proc·Stride+1, matching NewBuilder(proc, opts).
+// proc·Stride+1 (paper §5.2): proc 0 labels from 1, proc 1 from
+// 100001, matching the paper's Example 5.1.
 func NewPatcher(proc int, opts kernels.Options) *Patcher {
 	return &Patcher{
 		proc:   proc,
@@ -201,7 +203,7 @@ type Batch struct {
 
 // scratchArenas pools batch scratch arenas process-wide: scratch
 // storage never escapes a batch (Commit resets it before returning it
-// here), so even one-shot BuildParallel calls reuse warmed-up chunks.
+// here), so even one-shot Build calls reuse warmed-up chunks.
 var scratchArenas = sync.Pool{New: func() any { return new(sop.Arena) }}
 
 // MakeBatches hands out n batches, distributing the patcher's recycled
@@ -331,12 +333,12 @@ func (p *Patcher) recycleRetired() {
 }
 
 // Assemble builds a Matrix from the cached protos of the given nodes,
-// in nodes order, assigning labels exactly as a sequential
-// NewBuilder(proc)-driven build over the same nodes would. Nodes with
-// no cached proto are skipped (callers Commit first). nodes must not
-// repeat a node: cube ids are assigned from per-node ordinal blocks, so
-// a duplicate occurrence would get a fresh block where the sequential
-// Builder reuses the first one.
+// in nodes order: rows in node and pair order, columns in order of
+// first appearance, and each node's cube ids as one block in
+// first-occurrence order, all counting up from proc·Stride+1. Nodes
+// with no cached proto are skipped (callers Commit first). nodes must
+// not repeat a node: a duplicate occurrence would get a fresh cube-id
+// block instead of reusing the first one's ids.
 func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	base := int64(p.proc) * Stride
 	rowSeq, colSeq, cubeSeq := base, base, base
@@ -411,7 +413,7 @@ func (p *Patcher) Assemble(nodes []sop.Var) *Matrix {
 	rowIDSlab := make([]int64, eoff)
 	off := int32(0)
 	for i, c := range m.cols {
-		c.RowIDs = rowIDSlab[off:off : off+counts[i]]
+		c.RowIDs = rowIDSlab[off : off : off+counts[i]]
 		off += counts[i]
 	}
 	cur := 0
@@ -440,10 +442,9 @@ func slicesSortEntries(entries []Entry) {
 
 // Rebuild re-kernels the pending subset of nodes across the given
 // number of workers, then assembles the full matrix. The result is
-// bit-identical to Build(ctx, nw, nodes, opts) with proc-0 labels (or
-// NewBuilder(proc) for a non-zero proc) regardless of the worker count
-// and of how much of the cache was reused. On ctx cancellation the
-// partial result must be discarded, as with Build.
+// bit-identical for any worker count and however much of the cache
+// was reused. On ctx cancellation kerneling stops at the next node
+// boundary and the partial result must be discarded.
 //
 // Calling Rebuild invalidates the matrix returned by the previous
 // Rebuild on this patcher: its dirty nodes' cube storage is recycled.
@@ -451,46 +452,106 @@ func (p *Patcher) Rebuild(ctx context.Context, nw *network.Network, nodes []sop.
 	start := time.Now()
 	pending := p.Pending(nodes)
 	p.stats.NodesReused += int64(len(nodes) - len(pending))
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		bs := p.MakeBatches(1)
-		for _, v := range pending {
+	bs := p.MakeBatches(min(workers, len(pending)))
+	// Shard w kernels pending[w], pending[w+n], ...; shard 0 runs on
+	// the calling goroutine, so a one-worker build starts none.
+	kernelShard := func(w int) {
+		for i := w; i < len(pending); i += len(bs) {
 			if ctx.Err() != nil {
-				break
+				return
 			}
-			bs[0].Kernel(nw, v)
+			bs[w].Kernel(nw, pending[i])
 		}
-		p.Commit(bs...)
-	} else {
-		bs := p.MakeBatches(workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(pending); i += workers {
-					if ctx.Err() != nil {
-						return
-					}
-					bs[w].Kernel(nw, pending[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		p.Commit(bs...)
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(bs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kernelShard(w)
+		}()
+	}
+	kernelShard(0)
+	wg.Wait()
+	p.Commit(bs...)
 	m := p.Assemble(nodes)
 	p.stats.BuildNS += time.Since(start).Nanoseconds()
 	return m
 }
 
-// BuildParallel constructs the KC matrix for the given nodes, sharding
-// kernel generation by output node across workers goroutines. Labels
-// are bit-identical to the sequential Build for any worker count: the
-// parallel phase produces label-free protos and a deterministic
-// sequential assemble pass assigns every identifier in node order.
-func BuildParallel(ctx context.Context, nw *network.Network, nodes []sop.Var, opts kernels.Options, workers int) *Matrix {
-	return NewPatcher(0, opts).Rebuild(ctx, nw, nodes, workers)
+// Build constructs the KC matrix for the given nodes of nw with
+// proc-0 labels on one worker: the sequential construction of §2,
+// through a fresh Patcher. The build is abandoned at the next node
+// boundary once ctx is cancelled; callers that care must check
+// ctx.Err() and discard the partial matrix.
+func Build(ctx context.Context, nw *network.Network, nodes []sop.Var, opts kernels.Options) *Matrix {
+	return NewPatcher(0, opts).Rebuild(ctx, nw, nodes, 1)
+}
+
+// cubeTable maps function cubes to ids: an open-addressing table over
+// the shared kernel-cube hash. A Batch uses it to number each node's
+// distinct function cubes in first-occurrence order.
+type cubeTable struct {
+	slots []cubeSlot
+	n     int
+}
+
+type cubeSlot struct {
+	hash uint64
+	cube sop.Cube
+	id   int64 // 0 = empty (ids start at 1)
+}
+
+// reset clears the table while keeping its slot storage.
+func (t *cubeTable) reset() {
+	for i := range t.slots {
+		t.slots[i] = cubeSlot{}
+	}
+	t.n = 0
+}
+
+func (t *cubeTable) lookup(h uint64, c sop.Cube) (int64, bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; t.slots[i].id != 0; i = (i + 1) & mask {
+		if t.slots[i].hash == h && t.slots[i].cube.Equal(c) {
+			return t.slots[i].id, true
+		}
+	}
+	return 0, false
+}
+
+func (t *cubeTable) insert(h uint64, c sop.Cube, id int64) {
+	if t.n*4 >= len(t.slots)*3 {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = cubeSlot{hash: h, cube: c, id: id}
+	t.n++
+}
+
+func (t *cubeTable) grow() {
+	old := t.slots
+	size := 16
+	if len(old) > 0 {
+		size = len(old) * 2
+	}
+	t.slots = make([]cubeSlot, size)
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		i := s.hash & mask
+		for t.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
 }

@@ -91,28 +91,34 @@ func randomNetwork(r *rand.Rand, nNodes int) (*network.Network, []sop.Var) {
 	return nw, nodes
 }
 
+// TestBuildParallelBitIdentical checks the Patcher against the
+// reference Builder on the paper network for every worker count in
+// {1,2,4,8}, and Build against the same reference.
 func TestBuildParallelBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	nw := network.PaperExample()
 	nodes := nw.NodeVars()
-	want := Build(ctx, nw, nodes, kernels.Options{})
+	want := referenceBuild(nw, nodes, 0, kernels.Options{})
+	requireIdentical(t, want, Build(ctx, nw, nodes, kernels.Options{}))
 	for _, p := range []int{1, 2, 4, 8} {
-		got := BuildParallel(ctx, nw, nodes, kernels.Options{}, p)
+		got := NewPatcher(0, kernels.Options{}).Rebuild(ctx, nw, nodes, p)
 		requireIdentical(t, want, got)
 	}
 }
 
-// Property: for random networks and any worker count in {1,2,4,8},
-// BuildParallel is bit-identical to the sequential Build.
+// Property: for random networks, a random processor offset and any
+// worker count in {1,2,4,8}, Patcher.Rebuild is bit-identical to the
+// reference Builder on the same processor.
 func TestQuickBuildParallelEqualsBuild(t *testing.T) {
 	ctx := context.Background()
 	cfg := &quick.Config{MaxCount: 30}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nw, nodes := randomNetwork(r, 3+r.Intn(8))
-		want := Build(ctx, nw, nodes, kernels.Options{})
+		proc := r.Intn(4)
+		want := referenceBuild(nw, nodes, proc, kernels.Options{})
 		for _, p := range []int{1, 2, 4, 8} {
-			got := BuildParallel(ctx, nw, nodes, kernels.Options{}, p)
+			got := NewPatcher(proc, kernels.Options{}).Rebuild(ctx, nw, nodes, p)
 			if !identical(want, got) {
 				return false
 			}
@@ -156,8 +162,8 @@ func identical(want, got *Matrix) bool {
 }
 
 // Property: after a random sequence of node mutations with MarkDirty,
-// the patcher's incremental Rebuild is bit-identical to a from-scratch
-// sequential Build of the mutated network.
+// the patcher's incremental Rebuild is bit-identical to the reference
+// Builder's from-scratch build of the mutated network.
 func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 	ctx := context.Background()
 	cfg := &quick.Config{MaxCount: 25}
@@ -166,7 +172,7 @@ func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 		nw, nodes := randomNetwork(r, 4+r.Intn(6))
 		p := NewPatcher(0, kernels.Options{})
 		got := p.Rebuild(ctx, nw, nodes, 1+r.Intn(4))
-		if !identical(Build(ctx, nw, nodes, kernels.Options{}), got) {
+		if !identical(referenceBuild(nw, nodes, 0, kernels.Options{}), got) {
 			return false
 		}
 		for round := 0; round < 3; round++ {
@@ -184,7 +190,7 @@ func TestQuickPatcherEqualsFromScratch(t *testing.T) {
 				p.MarkDirty(v)
 			}
 			got = p.Rebuild(ctx, nw, nodes, 1+r.Intn(4))
-			if !identical(Build(ctx, nw, nodes, kernels.Options{}), got) {
+			if !identical(referenceBuild(nw, nodes, 0, kernels.Options{}), got) {
 				return false
 			}
 		}

@@ -1,30 +1,33 @@
 package rect
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/kcm"
 	"repro/internal/kernels"
+	"repro/internal/network"
 	"repro/internal/sop"
 )
 
 // Property tests: on randomized matrices, the bitset searcher must
 // agree bit-for-bit — rectangles, BestK batches, and Stats — with the
-// retained pre-bitset reference implementation (reference.go), for
+// retained pre-bitset reference implementation (reference_test.go), for
 // the generic valuer path, the CoveredValuer path, the Cover fast
 // path, and under leftmost-column decomposition.
 
-// randExpr builds a random positive-phase SOP over nv variables.
-func randExpr(rng *rand.Rand, nv int) sop.Expr {
+// randExpr builds a random positive-phase SOP over the given inputs.
+func randExpr(rng *rand.Rand, ins []sop.Var) sop.Expr {
 	nc := 4 + rng.Intn(7)
 	cubes := make([]sop.Cube, 0, nc)
 	for i := 0; i < nc; i++ {
 		nl := 1 + rng.Intn(3)
 		lits := make([]sop.Lit, 0, nl)
 		for j := 0; j < nl; j++ {
-			lits = append(lits, sop.Pos(sop.Var(rng.Intn(nv))))
+			lits = append(lits, sop.Pos(ins[rng.Intn(len(ins))]))
 		}
 		if c, ok := sop.NewCube(lits...); ok {
 			cubes = append(cubes, c)
@@ -33,29 +36,30 @@ func randExpr(rng *rand.Rand, nv int) sop.Expr {
 	return sop.NewExpr(cubes...)
 }
 
-// randMatrix builds a KC matrix from random functions. When merge is
-// true the nodes are split across two processor builders and merged,
-// exercising offset labels and the Merge relabeling path.
-func randMatrix(rng *rand.Rand, merge bool) *kcm.Matrix {
-	nv := 6 + rng.Intn(5)
-	nn := 3 + rng.Intn(4)
-	opts := kernels.Options{}
-	if !merge {
-		b := kcm.NewBuilder(0, opts)
-		for i := 0; i < nn; i++ {
-			b.AddFunction(sop.Var(100+i), randExpr(rng, nv))
+// randNetwork builds a network of nn random nodes over nv inputs and
+// returns it with its node variables.
+func randNetwork(rng *rand.Rand, nv, nn int) (*network.Network, []sop.Var) {
+	nw := network.New("rand")
+	ins := make([]sop.Var, nv)
+	for i := range ins {
+		ins[i] = nw.AddInput(fmt.Sprintf("x%d", i))
+	}
+	nodes := make([]sop.Var, nn)
+	for i := range nodes {
+		v, err := nw.AddNode(fmt.Sprintf("n%d", i), randExpr(rng, ins))
+		if err != nil {
+			panic(err)
 		}
-		return b.Matrix()
+		nodes[i] = v
 	}
-	b0 := kcm.NewBuilder(0, opts)
-	b1 := kcm.NewBuilder(1, opts)
-	for i := 0; i < nn; i++ {
-		b0.AddFunction(sop.Var(100+i), randExpr(rng, nv))
-		b1.AddFunction(sop.Var(200+i), randExpr(rng, nv))
-	}
-	m := b0.Matrix()
-	kcm.Merge(m, b1.Matrix())
-	return m
+	return nw, nodes
+}
+
+// randMatrix builds the KC matrix of a random network with a proc-
+// labeled Patcher; proc > 0 exercises the §5.2 offset labels.
+func randMatrix(rng *rand.Rand, proc int) *kcm.Matrix {
+	nw, nodes := randNetwork(rng, 6+rng.Intn(5), 3+rng.Intn(4))
+	return kcm.NewPatcher(proc, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 1)
 }
 
 // allCubeIDs lists the distinct cube ids of the matrix.
@@ -96,7 +100,7 @@ func checkAgree(t *testing.T, name string, m *kcm.Matrix, cfg Config, val Valuer
 func TestPropertyBestMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := randMatrix(rng, seed%3 == 2)
+		m := randMatrix(rng, int(seed%3)/2) // every third seed proc-1 labeled
 
 		// Uncovered, generic valuer.
 		checkAgree(t, "weight", m, Config{}, WeightValuer)
@@ -138,7 +142,7 @@ func TestPropertyBestMatchesReference(t *testing.T) {
 func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := randMatrix(rng, seed%2 == 1)
+		m := randMatrix(rng, int(seed%2))
 		cover := NewCover(m)
 		refCovered := map[int64]bool{}
 		cfg := Config{Cover: cover}
@@ -166,13 +170,10 @@ func TestPropertyGreedyCoverMatchesReference(t *testing.T) {
 func TestPropertySharedCubeSet(t *testing.T) {
 	for seed := int64(200); seed < 210; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b0 := kcm.NewBuilder(0, kernels.Options{})
-		b1 := kcm.NewBuilder(1, kernels.Options{})
-		for i := 0; i < 4; i++ {
-			b0.AddFunction(sop.Var(100+i), randExpr(rng, 8))
-			b1.AddFunction(sop.Var(200+i), randExpr(rng, 8))
-		}
-		m0, m1 := b0.Matrix(), b1.Matrix()
+		nw, nodes := randNetwork(rng, 8, 8)
+		ctx := context.Background()
+		m0 := kcm.NewPatcher(0, kernels.Options{}).Rebuild(ctx, nw, nodes[:4], 1)
+		m1 := kcm.NewPatcher(1, kernels.Options{}).Rebuild(ctx, nw, nodes[4:], 1)
 		maxID := m0.MaxCubeID()
 		if id := m1.MaxCubeID(); id > maxID {
 			maxID = id
