@@ -4,18 +4,22 @@ import (
 	"sort"
 
 	"repro/internal/analysis/invariant"
-	"repro/internal/bitset"
 )
 
 // Index is the dense fast-path view of a Matrix that the rectangle
 // search runs on: rows and columns renumbered 0..n-1 in increasing
-// label order, per-column row bitsets and per-row column bitsets, and
-// per-row dense column references aligned with Row.Entries.
+// label order, and the entries stored twice, as row lists (CSR) and
+// column lists (CSC). RowRefs[i] lists the dense columns of row i
+// aligned with Rows[i].Entries; ColRowList[j] lists the dense rows of
+// column j, and ColEntryPos[j] where each of those rows keeps its
+// entry in column j. Both families are ascending, so a search visit
+// walks only the rows and entries it touches, never the full matrix
+// width.
 //
-// Dense positions follow label order, so iterating a column bitset in
-// ascending bit order reproduces exactly the increasing-label search
-// order of the Figure 1 enumeration — the property the §3 leftmost-
-// column decomposition and all tie-breaking depend on.
+// Dense positions follow label order, so walking a column list front
+// to back reproduces exactly the increasing-label search order of the
+// Figure 1 enumeration — the property the §3 leftmost-column
+// decomposition and all tie-breaking depend on.
 //
 // An Index is a snapshot: it is built lazily by Matrix.Index, cached,
 // and dropped on any structural mutation. Callers must not mutate it.
@@ -28,18 +32,18 @@ type Index struct {
 	// position.
 	Rows []*Row
 	Cols []*Col
-	// ColRows[j] is the set of dense rows with an entry in dense
-	// column j; RowCols[i] is the set of dense columns row i hits.
-	ColRows []bitset.Set
-	RowCols []bitset.Set
 	// RowRefs[i][k] is the dense column of Rows[i].Entries[k]. Since
 	// entries are sorted by label and dense order follows label
 	// order, each RowRefs[i] is ascending.
 	RowRefs [][]int32
+	// ColRowList[j] lists the dense rows with an entry in dense
+	// column j, ascending. ColEntryPos[j][t] is the position of that
+	// entry in Rows[ColRowList[j][t]].Entries.
+	ColRowList  [][]int32
+	ColEntryPos [][]int32
 	// MaxCubeID mirrors Matrix.MaxCubeID at build time.
 	MaxCubeID int64
 
-	rowPos map[int64]int32
 	colPos map[int64]int32
 }
 
@@ -52,15 +56,14 @@ func (m *Matrix) Index() *Index {
 	}
 	nr, nc := len(m.rows), len(m.cols)
 	ix := &Index{
-		RowIDs:  make([]int64, nr),
-		ColIDs:  make([]int64, nc),
-		Rows:    make([]*Row, nr),
-		Cols:    make([]*Col, nc),
-		ColRows: make([]bitset.Set, nc),
-		RowCols: make([]bitset.Set, nr),
-		RowRefs: make([][]int32, nr),
-		rowPos:  make(map[int64]int32, nr),
-		colPos:  make(map[int64]int32, nc),
+		RowIDs:      make([]int64, nr),
+		ColIDs:      make([]int64, nc),
+		Rows:        make([]*Row, nr),
+		Cols:        make([]*Col, nc),
+		RowRefs:     make([][]int32, nr),
+		ColRowList:  make([][]int32, nc),
+		ColEntryPos: make([][]int32, nc),
+		colPos:      make(map[int64]int32, nc),
 
 		MaxCubeID: m.maxCubeID,
 	}
@@ -68,7 +71,6 @@ func (m *Matrix) Index() *Index {
 	sort.Slice(ix.Rows, func(i, j int) bool { return ix.Rows[i].ID < ix.Rows[j].ID })
 	for i, r := range ix.Rows {
 		ix.RowIDs[i] = r.ID
-		ix.rowPos[r.ID] = int32(i)
 	}
 	copy(ix.Cols, m.cols)
 	sort.Slice(ix.Cols, func(i, j int) bool { return ix.Cols[i].ID < ix.Cols[j].ID })
@@ -76,25 +78,30 @@ func (m *Matrix) Index() *Index {
 		ix.ColIDs[j] = c.ID
 		ix.colPos[c.ID] = int32(j)
 	}
-	// One backing allocation per bitset family.
-	colWords, rowWords := bitset.Words(nr), bitset.Words(nc)
-	colBits := make(bitset.Set, nc*colWords)
-	for j := range ix.ColRows {
-		ix.ColRows[j] = colBits[j*colWords : (j+1)*colWords]
-	}
-	rowBits := make(bitset.Set, nr*rowWords)
-	for i := range ix.RowCols {
-		ix.RowCols[i] = rowBits[i*rowWords : (i+1)*rowWords]
-	}
+	// One backing allocation per list family. Column lists are carved
+	// by the column counts of the row pass and filled in ascending row
+	// order, so each one comes out sorted.
 	refs := make([]int32, m.entries)
+	colLen := make([]int, nc)
 	for i, r := range ix.Rows {
 		ix.RowRefs[i] = refs[:len(r.Entries):len(r.Entries)]
 		refs = refs[len(r.Entries):]
 		for k, e := range r.Entries {
-			j := int(ix.colPos[e.Col])
-			ix.RowRefs[i][k] = int32(j)
-			ix.RowCols[i].Set(j)
-			ix.ColRows[j].Set(i)
+			j := ix.colPos[e.Col]
+			ix.RowRefs[i][k] = j
+			colLen[j]++
+		}
+	}
+	colRows, colPos := make([]int32, m.entries), make([]int32, m.entries)
+	for j, n := range colLen {
+		ix.ColRowList[j] = colRows[:0:n]
+		ix.ColEntryPos[j] = colPos[:0:n]
+		colRows, colPos = colRows[n:], colPos[n:]
+	}
+	for i, refs := range ix.RowRefs {
+		for k, j := range refs {
+			ix.ColRowList[j] = append(ix.ColRowList[j], int32(i))
+			ix.ColEntryPos[j] = append(ix.ColEntryPos[j], int32(k))
 		}
 	}
 	if invariant.Enabled {
@@ -104,34 +111,8 @@ func (m *Matrix) Index() *Index {
 	return ix
 }
 
-// RowPos returns the dense position of row id.
-func (ix *Index) RowPos(id int64) (int, bool) {
-	p, ok := ix.rowPos[id]
-	return int(p), ok
-}
-
 // ColPos returns the dense position of column id.
 func (ix *Index) ColPos(id int64) (int, bool) {
 	p, ok := ix.colPos[id]
 	return int(p), ok
-}
-
-// EntryAt returns, for dense row r, the position k in Rows[r].Entries
-// of the entry in dense column dc, or -1 when the row has no entry
-// there. RowRefs[r] is ascending, so this is a binary search.
-func (ix *Index) EntryAt(r, dc int) int {
-	refs := ix.RowRefs[r]
-	lo, hi := 0, len(refs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if refs[mid] < int32(dc) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(refs) && refs[lo] == int32(dc) {
-		return lo
-	}
-	return -1
 }

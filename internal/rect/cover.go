@@ -54,9 +54,6 @@ func (s *CubeSet) Add(id int64) bool {
 	return true
 }
 
-// Count returns the number of ids in the set.
-func (s *CubeSet) Count() int { return s.bits.Count() }
-
 // Cover binds a covered-cube set to one matrix and is the searcher's
 // fast path for the greedy cover loop: setting Config.Cover makes
 // entry values bit tests on the set and caches each column's total
@@ -151,13 +148,11 @@ func (c *Cover) colValue(ix *kcm.Index, dc int) int {
 // against it.
 func (c *Cover) recompute(ix *kcm.Index, dc int) int {
 	total := 0
-	for _, r := range ix.Cols[dc].RowIDs {
-		dr, _ := ix.RowPos(r)
-		if k := ix.EntryAt(dr, dc); k >= 0 {
-			e := ix.Rows[dr].Entries[k]
-			if !c.set.Has(e.CubeID) {
-				total += e.Weight
-			}
+	pos := ix.ColEntryPos[dc]
+	for t, r := range ix.ColRowList[dc] {
+		e := ix.Rows[r].Entries[pos[t]]
+		if !c.set.Has(e.CubeID) {
+			total += e.Weight
 		}
 	}
 	return total

@@ -7,17 +7,19 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
 	"repro/internal/network"
 	"repro/internal/sop"
 )
 
-// Property tests: on randomized matrices, the bitset searcher must
-// agree bit-for-bit — rectangles, BestK batches, and Stats — with the
-// retained pre-bitset reference implementation (reference_test.go), for
-// the generic valuer path, the CoveredValuer path, the Cover fast
-// path, and under leftmost-column decomposition.
+// Property tests: on randomized matrices and on the KC matrices of
+// generated benchmark circuits, the searcher must agree bit-for-bit —
+// rectangles, BestK batches, and Stats — with the map-based reference
+// implementation (reference_test.go), for the generic valuer path, the
+// CoveredValuer path, the Cover fast path, and under leftmost-column
+// decomposition.
 
 // randExpr builds a random positive-phase SOP over the given inputs.
 func randExpr(rng *rand.Rand, ins []sop.Var) sop.Expr {
@@ -77,7 +79,9 @@ func allCubeIDs(m *kcm.Matrix) []int64 {
 	return ids
 }
 
-func checkAgree(t *testing.T, name string, m *kcm.Matrix, cfg Config, val Valuer) {
+// checkAgree asserts that Best and BestK (k=4) agree exactly with the
+// reference searcher, and returns the stats of the Best search.
+func checkAgree(t *testing.T, name string, m *kcm.Matrix, cfg Config, val Valuer) Stats {
 	t.Helper()
 	got, gotStats := Best(m, cfg, val)
 	want, wantStats := ReferenceBest(m, cfg, val)
@@ -95,6 +99,105 @@ func checkAgree(t *testing.T, name string, m *kcm.Matrix, cfg Config, val Valuer
 	if gotKStats != wantKStats {
 		t.Fatalf("%s: BestK Stats = %+v, reference = %+v", name, gotKStats, wantKStats)
 	}
+	return gotStats
+}
+
+// TestBestKMatchesReferenceOnBenchmarks compares the two searchers on
+// the KC matrices of generated benchmark circuits. Their column lists
+// range from a couple of rows to hundreds, so row-subset intersections
+// take both the linear merge and the binary-search branch, which the
+// small random matrices never leave. Visit caps of 500 and 5000 make
+// the searches truncate, and each third of a 3-way leftmost-column
+// split must agree on its own.
+func TestBestKMatchesReferenceOnBenchmarks(t *testing.T) {
+	for _, circuit := range []string{"misex3", "dalu", "des"} {
+		nw, err := gen.Benchmark(circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := kcm.Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
+		cover := NewCover(m)
+		for i, id := range allCubeIDs(m) {
+			if i%3 == 0 {
+				cover.Mark(id)
+			}
+		}
+		cols := m.SortedColIDs()
+		truncated := 0
+		for _, maxVisits := range []int{500, 5000} {
+			name := fmt.Sprintf("%s/visits=%d", circuit, maxVisits)
+			base := Config{MaxCols: 5, MaxVisits: maxVisits}
+			covered := base
+			covered.Cover = cover
+			for _, st := range []Stats{
+				checkAgree(t, name+"/weight", m, base, WeightValuer),
+				checkAgree(t, name+"/cover", m, covered, nil),
+			} {
+				if st.Truncated {
+					truncated++
+				}
+			}
+			for p := 0; p < 3; p++ {
+				lo, hi := p*len(cols)/3, (p+1)*len(cols)/3
+				slice := covered
+				slice.LeftmostCols = append([]int64(nil), cols[lo:hi]...)
+				checkAgree(t, fmt.Sprintf("%s/slice%d", name, p), m, slice, nil)
+			}
+		}
+		if truncated == 0 {
+			t.Fatalf("%s: no search hit its visit cap", circuit)
+		}
+	}
+}
+
+// fuzzBytes hands out the fuzz input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// FuzzBestKMatchesReference builds a random matrix, covered subset,
+// search caps and leftmost-column subset from the fuzz input and
+// requires exact agreement with the reference searcher, both on the
+// Cover fast path and through the generic valuer.
+func FuzzBestKMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte("rectangle covering"))
+	f.Add([]byte{0x7f, 0x11, 0x0c, 0x01, 0xa5, 0x03, 0x02, 0x01, 0xff, 0x00, 0x3c})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		rng := rand.New(rand.NewSource(int64(b.next()<<8 | b.next())))
+		nw, nodes := randNetwork(rng, 4+b.next()%8, 2+b.next()%14)
+		m := kcm.NewPatcher(b.next()%2, kernels.Options{}).Rebuild(context.Background(), nw, nodes, 1)
+		cover := NewCover(m)
+		for _, id := range allCubeIDs(m) {
+			if b.next()&1 != 0 {
+				cover.Mark(id)
+			}
+		}
+		cfg := Config{
+			MaxCols:   1 + b.next()%6,
+			MaxVisits: b.next() << 4, // 0 is the package default
+			MinRows:   b.next() % 3,  // 0 is the package default
+			Cover:     cover,
+		}
+		if b.next()&1 != 0 {
+			for _, c := range m.SortedColIDs() {
+				if b.next()&1 != 0 {
+					cfg.LeftmostCols = append(cfg.LeftmostCols, c)
+				}
+			}
+		}
+		checkAgree(t, "fuzz-cover", m, cfg, nil)
+		cfg.Cover = nil
+		checkAgree(t, "fuzz-weight", m, cfg, WeightValuer)
+	})
 }
 
 func TestPropertyBestMatchesReference(t *testing.T) {

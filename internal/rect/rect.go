@@ -9,14 +9,19 @@
 // root (leftmost) column partitions the whole search space across
 // processors — exactly the paper's divide-and-conquer decomposition.
 //
-// The searcher runs on the dense index of internal/kcm: the row
-// subset at each node is one bitset AND, candidate extensions are
-// found by scanning the surviving rows' dense entry references, and
-// all per-visit scratch comes from a pooled arena, so a search visit
-// allocates nothing. Dense column order equals label order, which
-// keeps the enumeration — and therefore every tie-break and the §3
+// The searcher runs on the dense row and column lists of kcm.Index:
+// the row subset at each node is a sorted list of dense rows, the
+// intersection of its parent's list with the new column's list; each
+// row carries the positions of its entries in the chosen columns;
+// candidate extensions are found by scanning the surviving rows' dense
+// entry references past the last chosen column. A visit therefore
+// costs time in the rows it touches, not in the matrix width, and all
+// per-visit scratch comes from a pooled arena, so a search visit
+// allocates nothing. Dense order equals label order, which keeps the
+// enumeration — and therefore every tie-break and the §3
 // leftmost-column decomposition — bit-for-bit identical to the
-// retained reference implementation (see reference.go).
+// map-based reference searcher the tests compare against
+// (reference_test.go).
 //
 // The package is determinism-critical: enumeration order is the
 // contract (DESIGN.md §7), so map iteration order must never leak
@@ -26,7 +31,7 @@
 package rect
 
 import (
-	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -141,9 +146,9 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
-// searcher is the dense branch-and-bound enumerator. All per-depth
-// state lives in a pooled scratch arena; nothing is allocated per
-// visit.
+// searcher is the sparse branch-and-bound enumerator. All per-depth
+// state lives in a pooled scratch arena; once the arena has grown to
+// the matrix, a visit allocates nothing.
 type searcher struct {
 	m     *kcm.Matrix
 	ix    *kcm.Index
@@ -162,13 +167,15 @@ type searcher struct {
 func newSearcher(m *kcm.Matrix, cfg Config, val Valuer) *searcher {
 	s := &searcher{m: m, cfg: withDefaults(cfg), val: val, cover: cfg.Cover}
 	s.ix = m.Index()
-	s.sc = getScratch(len(s.ix.RowIDs), len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
+	s.sc = getScratch(len(s.ix.ColIDs), int(s.ix.MaxCubeID)+1, s.cfg.MaxCols)
 	return s
 }
 
 // release returns the scratch arena to the pool. The searcher must not
 // be used afterwards.
 func (s *searcher) release() {
+	// Depth 0 aliases the index's column lists; do not pin them.
+	s.sc.rows[0], s.sc.ents[0] = nil, nil
 	putScratch(s.sc)
 	s.sc = nil
 }
@@ -197,7 +204,7 @@ func (s *searcher) run(leftmost []int64) {
 	sc := s.sc
 	for _, c0 := range roots {
 		dc, ok := s.ix.ColPos(c0)
-		if !ok || len(s.ix.Cols[dc].RowIDs) == 0 {
+		if !ok || len(s.ix.ColRowList[dc]) == 0 {
 			continue
 		}
 		if s.rootValue(dc) == 0 {
@@ -208,7 +215,10 @@ func (s *searcher) run(leftmost []int64) {
 			// no best rectangle starts here.
 			continue
 		}
-		sc.rows[0].Copy(s.ix.ColRows[dc])
+		// The root's row subset is the column list itself, with one
+		// entry position per row: the column's position list.
+		sc.rows[0] = s.ix.ColRowList[dc]
+		sc.ents[0] = s.ix.ColEntryPos[dc]
 		sc.cols[0] = c0
 		sc.dcols[0] = dc
 		sc.kcost[0] = s.ix.Cols[dc].Cube.Weight()
@@ -226,20 +236,18 @@ func (s *searcher) rootValue(dc int) int {
 		return s.cover.colValue(s.ix, dc)
 	}
 	total := 0
-	for wi, w := range s.ix.ColRows[dc] {
-		for w != 0 {
-			r := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if k := s.ix.EntryAt(r, dc); k >= 0 {
-				total += s.val(s.ix.Rows[r].Entries[k])
-			}
-		}
+	pos := s.ix.ColEntryPos[dc]
+	for t, r := range s.ix.ColRowList[dc] {
+		total += s.val(s.ix.Rows[r].Entries[pos[t]])
 	}
 	return total
 }
 
 // recurse expands the search-tree node whose chosen columns are
-// sc.cols[:depth] and whose row subset is sc.rows[depth-1].
+// sc.cols[:depth] and whose row subset is sc.rows[depth-1]. Each of
+// those rows carries, in sc.ents[depth-1], the positions of its
+// entries in the chosen columns: depth positions per row, row after
+// row.
 func (s *searcher) recurse(depth int) {
 	s.stats.Visits++
 	if s.stats.Visits > s.cfg.MaxVisits {
@@ -254,64 +262,110 @@ func (s *searcher) recurse(depth int) {
 	}
 	sc := s.sc
 	ix := s.ix
-	rows := sc.rows[depth-1]
-	lastD := int32(sc.dcols[depth-1])
-	cand := sc.cand[depth]
-	cand.Reset()
-	cvals := sc.cvals[depth]
-	// Candidate extensions: columns beyond last present in >= 1 of
-	// the current rows, carrying non-zero claimable value (the
-	// zero-value dominance prune — see run). One pass over the
-	// surviving rows' dense entry references replaces the per-visit
-	// candidate map of the reference implementation.
-	for wi, w := range rows {
-		for w != 0 {
-			r := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			refs := ix.RowRefs[r]
-			entries := ix.Rows[r].Entries
-			// Skip entries at or left of the last chosen column.
-			lo, hi := 0, len(refs)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if refs[mid] <= lastD {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			for k := lo; k < len(refs); k++ {
-				dc := int(refs[k])
-				v := s.value(entries[k])
-				if !cand.Test(dc) {
-					cand.Set(dc)
-					cvals[dc] = v
-				} else {
-					cvals[dc] += v
-				}
+	rows, ents := sc.rows[depth-1], sc.ents[depth-1]
+	// Candidate extensions: columns beyond the last chosen one present
+	// in >= 1 of the current rows, carrying non-zero claimable value
+	// (the zero-value dominance prune — see run). A row's entries right
+	// of the last chosen column start just after that column's entry,
+	// whose position the row carries. A column is marked and listed on
+	// first touch, and only the listed marks are cleared afterwards.
+	touched := sc.cand[depth][:0]
+	for t, r := range rows {
+		refs := ix.RowRefs[r]
+		entries := ix.Rows[r].Entries
+		for k := int(ents[t*depth+depth-1]) + 1; k < len(refs); k++ {
+			dc := refs[k]
+			v := s.value(entries[k])
+			if !sc.mark.Test(int(dc)) {
+				sc.mark.Set(int(dc))
+				sc.acc[dc] = v
+				touched = append(touched, dc)
+			} else {
+				sc.acc[dc] += v
 			}
 		}
 	}
 	// Walk candidates in increasing label order (== dense order) for
-	// determinism. The row subset for an extension is one AND.
-	for wi, w := range cand {
-		for w != 0 {
-			dc := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if cvals[dc] <= 0 {
-				continue
+	// determinism.
+	slices.Sort(touched)
+	sc.cand[depth] = touched
+	cand := touched[:0]
+	for _, dc := range touched {
+		sc.mark.Clear(int(dc))
+		if sc.acc[dc] > 0 {
+			cand = append(cand, dc)
+		}
+	}
+	for _, dc := range cand {
+		sc.rows[depth], sc.ents[depth] = intersect(sc.rows[depth][:0], sc.ents[depth][:0],
+			rows, ents, depth, ix.ColRowList[dc], ix.ColEntryPos[dc])
+		sc.cols[depth] = ix.ColIDs[dc]
+		sc.dcols[depth] = int(dc)
+		sc.kcost[depth] = sc.kcost[depth-1] + ix.Cols[dc].Cube.Weight()
+		s.recurse(depth + 1)
+		if s.stats.Truncated {
+			return
+		}
+	}
+}
+
+// gallop is the length ratio beyond which intersect binary-searches
+// the longer list instead of merging the two.
+const gallop = 8
+
+// intersect appends to dst the rows of the parent subset prows that
+// also appear in the column list crows, and to dstEnts each kept row's
+// w parent entry positions (from pents, w per row) followed by its
+// position in the column (from cpos). Both lists are ascending, so the
+// result is too: a linear merge when the lengths are comparable, a
+// binary search into the longer list when one is much shorter.
+func intersect(dst, dstEnts, prows, pents []int32, w int, crows, cpos []int32) ([]int32, []int32) {
+	switch {
+	case len(prows)*gallop < len(crows):
+		ci := 0
+		for pi, r := range prows {
+			i, found := slices.BinarySearch(crows[ci:], r)
+			ci += i
+			if ci == len(crows) {
+				break
 			}
-			sub := sc.rows[depth]
-			sub.And(rows, ix.ColRows[dc])
-			sc.cols[depth] = ix.ColIDs[dc]
-			sc.dcols[depth] = dc
-			sc.kcost[depth] = sc.kcost[depth-1] + ix.Cols[dc].Cube.Weight()
-			s.recurse(depth + 1)
-			if s.stats.Truncated {
-				return
+			if found {
+				dst = append(dst, r)
+				dstEnts = append(append(dstEnts, pents[pi*w:(pi+1)*w]...), cpos[ci])
+				ci++
+			}
+		}
+	case len(crows)*gallop < len(prows):
+		pi := 0
+		for ci, r := range crows {
+			i, found := slices.BinarySearch(prows[pi:], r)
+			pi += i
+			if pi == len(prows) {
+				break
+			}
+			if found {
+				dst = append(dst, r)
+				dstEnts = append(append(dstEnts, pents[pi*w:(pi+1)*w]...), cpos[ci])
+				pi++
+			}
+		}
+	default:
+		pi, ci := 0, 0
+		for pi < len(prows) && ci < len(crows) {
+			switch a, b := prows[pi], crows[ci]; {
+			case a < b:
+				pi++
+			case a > b:
+				ci++
+			default:
+				dst = append(dst, a)
+				dstEnts = append(append(dstEnts, pents[pi*w:(pi+1)*w]...), cpos[ci])
+				pi++
+				ci++
 			}
 		}
 	}
+	return dst, dstEnts
 }
 
 // evaluate computes the gain of the rectangle spanned by the chosen
@@ -331,30 +385,26 @@ func (s *searcher) evaluate(depth int) {
 	keep := sc.keep[:0]
 	seenIDs := sc.seenIDs[:0]
 	total := 0
-	for wi, w := range sc.rows[depth-1] {
-		for w != 0 {
-			r := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			row := ix.Rows[r]
-			rowVal := 0
-			for d := 0; d < depth; d++ {
-				k := ix.EntryAt(r, sc.dcols[d])
-				e := row.Entries[k]
-				if sc.seen.Test(int(e.CubeID)) {
-					continue
-				}
-				v := s.value(e)
-				if v > 0 {
-					sc.seen.Set(int(e.CubeID))
-					seenIDs = append(seenIDs, e.CubeID)
-				}
-				rowVal += v
+	ents := sc.ents[depth-1]
+	for t, r := range sc.rows[depth-1] {
+		row := ix.Rows[r]
+		rowVal := 0
+		for _, k := range ents[t*depth : (t+1)*depth] {
+			e := row.Entries[k]
+			if sc.seen.Test(int(e.CubeID)) {
+				continue
 			}
-			contrib := rowVal - (row.CoKernel.Weight() + 1)
-			if contrib > 0 {
-				keep = append(keep, row.ID)
-				total += contrib
+			v := s.value(e)
+			if v > 0 {
+				sc.seen.Set(int(e.CubeID))
+				seenIDs = append(seenIDs, e.CubeID)
 			}
+			rowVal += v
+		}
+		contrib := rowVal - (row.CoKernel.Weight() + 1)
+		if contrib > 0 {
+			keep = append(keep, row.ID)
+			total += contrib
 		}
 	}
 	for _, id := range seenIDs {
@@ -398,70 +448,51 @@ func (s *searcher) better(cand Rect) bool {
 	return compareIDs(cand.Rows, cur.Rows) < 0
 }
 
-// scratch is the per-search arena: row-subset bitsets, candidate
-// masks and value accumulators per depth, the seen-cube set of
-// evaluate, and the chosen-column stacks. Arenas recycle through a
-// sync.Pool and grow monotonically, so steady-state searches allocate
-// only their result rectangles.
+// scratch is the per-search arena: the row subsets, entry positions
+// and candidate columns per depth, the candidate marks and value
+// accumulators of recurse, the seen-cube set of evaluate, and the
+// chosen-column stacks. Arenas recycle through a sync.Pool and grow
+// monotonically, so steady-state searches allocate only their result
+// rectangles.
 type scratch struct {
-	rows    []bitset.Set // per depth: current row subset
-	cand    []bitset.Set // per depth: candidate extension columns
-	cvals   [][]int      // per depth: claimable value per dense col
-	seen    bitset.Set   // by cube id; always left zeroed
+	rows    [][]int32  // per depth: ascending dense rows of the subset
+	ents    [][]int32  // per depth d: d+1 entry positions per row
+	cand    [][]int32  // per depth: candidate extension columns
+	mark    bitset.Set // by dense column; always left zeroed
+	acc     []int      // by dense column: claimable value, where marked
+	seen    bitset.Set // by cube id; always left zeroed
 	seenIDs []int64
 	keep    []int64
 	cols    []int64 // chosen column ids
 	dcols   []int   // chosen dense columns
 	kcost   []int   // prefix kernel cost of chosen columns
-
-	rowWords, colWords, nCols, depths int
-	rowsBack, candBack                bitset.Set
-	cvalBack                          []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch(nRows, nCols, cubeBits, maxCols int) *scratch {
+func getScratch(nCols, cubeBits, maxCols int) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	sc.ensure(nRows, nCols, cubeBits, maxCols)
+	sc.ensure(nCols, cubeBits, maxCols)
 	return sc
 }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
-// ensure sizes the arena for a matrix of nRows x nCols, cube ids below
-// cubeBits, and search depth maxCols, reusing prior capacity.
-func (sc *scratch) ensure(nRows, nCols, cubeBits, maxCols int) {
-	rw, cw := bitset.Words(nRows), bitset.Words(nCols)
-	if rw > sc.rowWords || cw > sc.colWords || nCols > sc.nCols || maxCols > sc.depths {
-		if rw > sc.rowWords {
-			sc.rowWords = rw
-		}
-		if cw > sc.colWords {
-			sc.colWords = cw
-		}
-		if nCols > sc.nCols {
-			sc.nCols = nCols
-		}
-		if maxCols > sc.depths {
-			sc.depths = maxCols
-		}
-		sc.rowsBack = make(bitset.Set, sc.depths*sc.rowWords)
-		sc.candBack = make(bitset.Set, sc.depths*sc.colWords)
-		sc.cvalBack = make([]int, sc.depths*sc.nCols)
-		sc.rows = make([]bitset.Set, sc.depths)
-		sc.cand = make([]bitset.Set, sc.depths)
-		sc.cvals = make([][]int, sc.depths)
-		sc.cols = make([]int64, sc.depths)
-		sc.dcols = make([]int, sc.depths)
-		sc.kcost = make([]int, sc.depths)
+// ensure sizes the arena for a matrix of nCols columns, cube ids below
+// cubeBits, and search depth maxCols, reusing prior capacity. The
+// per-depth lists grow on demand as the search appends to them.
+func (sc *scratch) ensure(nCols, cubeBits, maxCols int) {
+	if grow := maxCols - len(sc.rows); grow > 0 {
+		sc.rows = append(sc.rows, make([][]int32, grow)...)
+		sc.ents = append(sc.ents, make([][]int32, grow)...)
+		sc.cand = append(sc.cand, make([][]int32, grow)...)
+		sc.cols = make([]int64, maxCols)
+		sc.dcols = make([]int, maxCols)
+		sc.kcost = make([]int, maxCols)
 	}
-	// Reslice the per-depth views to this search's exact widths so
-	// bitset operations agree with the matrix index's sets.
-	for d := 0; d < sc.depths; d++ {
-		sc.rows[d] = sc.rowsBack[d*sc.rowWords : d*sc.rowWords+rw]
-		sc.cand[d] = sc.candBack[d*sc.colWords : d*sc.colWords+cw]
-		sc.cvals[d] = sc.cvalBack[d*sc.nCols : d*sc.nCols+nCols]
+	if nCols > len(sc.acc) {
+		sc.acc = make([]int, nCols)
+		sc.mark = bitset.New(nCols)
 	}
 	if bitset.Words(cubeBits) > len(sc.seen) {
 		sc.seen = bitset.New(cubeBits)

@@ -8,13 +8,14 @@ import (
 )
 
 // This file retains the original map-based searcher, verbatim in
-// behavior, as the reference implementation the bitset fast path is
+// behavior, as the reference implementation the sparse fast path is
 // validated against: the property tests assert that ReferenceBest and
 // ReferenceBestK agree bit-for-bit (rectangles, batches and Stats)
-// with Best and BestK on randomized matrices. It is not used on any
+// with Best and BestK on randomized, fuzz-built and benchmark
+// matrices. It is not used on any
 // hot path.
 
-// ReferenceBest is the pre-bitset Best: same enumeration order, same
+// ReferenceBest is the map-based Best: same enumeration order, same
 // tie-breaking, same stats accounting, implemented with maps and
 // per-visit slices.
 func ReferenceBest(m *kcm.Matrix, cfg Config, val Valuer) (Rect, Stats) {
@@ -23,7 +24,7 @@ func ReferenceBest(m *kcm.Matrix, cfg Config, val Valuer) (Rect, Stats) {
 	return s.best, s.stats
 }
 
-// ReferenceBestK is the pre-bitset BestK.
+// ReferenceBestK is the map-based BestK.
 func ReferenceBestK(m *kcm.Matrix, cfg Config, val Valuer, k int) ([]Rect, Stats) {
 	if k <= 1 {
 		best, stats := ReferenceBest(m, cfg, val)

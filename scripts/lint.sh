@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Single lint entrypoint for CI and developers: build everything,
-# run go vet, then run the repolint analyzer suite (package-local and
+# check gofmt and run go vet, then run the repolint analyzer suite (package-local and
 # whole-program) over the tree. Finally regenerate the fault-point
 # registry and fail if the checked-in copy has drifted from the
 # injection sites actually present in the source.
@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 
 echo "== build"
 go build ./...
+
+echo "== gofmt"
+unformatted="$(git ls-files -z -- '*.go' | xargs -0 gofmt -l)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== vet"
 go vet ./...
