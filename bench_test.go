@@ -31,10 +31,10 @@ import (
 
 // benchOpt is the harness configuration at benchmark scale.
 func benchOpt() core.Options {
-	return core.Options{
+	return core.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: 5, MaxVisits: 50000},
 		BatchK: 16,
-	}
+	}}
 }
 
 func benchCircuit(b *testing.B, name string) *network.Network {
@@ -58,7 +58,7 @@ func BenchmarkTable1Script(b *testing.B) {
 			var res script.Result
 			for i := 0; i < b.N; i++ {
 				nw := benchCircuit(b, name)
-				res = script.Run(nw, script.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+				res = script.Run(nw, script.Options{Options: opt.Options})
 			}
 			b.ReportMetric(float64(res.FinalLC), "LC")
 			b.ReportMetric(100*res.FacWall.Seconds()/res.TotalWall.Seconds(), "fac%wall")
@@ -122,7 +122,7 @@ func BenchmarkTable4LShapedSequential(b *testing.B) {
 			var lc int
 			for i := 0; i < b.N; i++ {
 				nw := benchCircuit(b, "misex3")
-				lshape.Run(nw, k, lshape.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+				lshape.Run(context.Background(), nw, tablesKWay(nw, k), opt.Options)
 				lc = nw.Literals()
 			}
 			b.ReportMetric(float64(lc), "LC")
@@ -343,7 +343,7 @@ func BenchmarkKernelExtractCall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		nw := benchCircuit(b, "misex3")
-		extract.KernelExtract(context.Background(), nw, nil, extract.Options{Rect: opt.Rect, BatchK: opt.BatchK})
+		extract.KernelExtract(context.Background(), nw, nil, opt.Options)
 	}
 }
 
@@ -384,7 +384,7 @@ func BenchmarkPowerWeightedCover(b *testing.B) {
 		nw := benchCircuit(b, "misex3")
 		var err error
 		res, err = power.Extract(nw, kernels.Options{},
-			rect.Config{MaxCols: 5, MaxVisits: 50000}, 0)
+			rect.Config{MaxCols: 5, MaxVisits: 50000})
 		if err != nil {
 			b.Fatal(err)
 		}

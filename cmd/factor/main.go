@@ -22,6 +22,7 @@ import (
 	"repro/internal/blif"
 	"repro/internal/core"
 	"repro/internal/eqn"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/network"
 	"repro/internal/rect"
@@ -47,10 +48,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "factor:", err)
 		os.Exit(1)
 	}
-	opt := core.Options{
+	opt := core.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: *maxCols, MaxVisits: *maxVisits},
 		BatchK: *batch,
-	}
+	}}
 	initial := nw.Literals()
 	fmt.Printf("circuit %s: %d nodes, %d literals\n", nw.Name, nw.NumNodes(), initial)
 

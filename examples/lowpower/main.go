@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/power"
@@ -27,7 +28,7 @@ func main() {
 	act0, _ := power.Compute(areaNet, 0.5)
 	costBefore := power.NetworkActivityCost(areaNet, act0)
 	lcBefore := areaNet.Literals()
-	core.Sequential(context.Background(), areaNet, core.Options{Rect: rc, BatchK: 16})
+	core.Sequential(context.Background(), areaNet, core.Options{Options: extract.Options{Rect: rc, BatchK: 16}})
 	actA, _ := power.Compute(areaNet, 0.5)
 	fmt.Printf("area-driven:  LC %5d -> %5d, activity cost %.1f -> %.1f\n",
 		lcBefore, areaNet.Literals(), costBefore,
@@ -36,7 +37,7 @@ func main() {
 	// Power-driven extraction: same engine, activity-weighted
 	// rectangle values.
 	powNet, _ := gen.Benchmark("misex3")
-	res, err := power.Extract(powNet, kernels.Options{}, rc, 0)
+	res, err := power.Extract(powNet, kernels.Options{}, rc)
 	if err != nil {
 		panic(err)
 	}

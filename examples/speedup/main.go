@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/rect"
 	"repro/internal/tables"
@@ -20,10 +21,10 @@ func main() {
 	bench := flag.String("bench", "dalu", "benchmark name")
 	flag.Parse()
 
-	opt := core.Options{
+	opt := core.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: 5, MaxVisits: 100000},
 		BatchK: 16,
-	}
+	}}
 	nw, err := gen.Benchmark(*bench)
 	if err != nil {
 		panic(err)

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/rect"
 	"repro/internal/script"
@@ -20,10 +21,10 @@ func main() {
 	}
 	fmt.Println("circuit:", nw)
 
-	res := script.Run(nw, script.Options{
+	res := script.Run(nw, script.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: 5, MaxVisits: 100000},
 		BatchK: 16,
-	})
+	}})
 
 	fmt.Printf("\nliteral count: %d -> %d (%.1f%% of initial)\n",
 		res.InitialLC, res.FinalLC, 100*float64(res.FinalLC)/float64(res.InitialLC))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/blif"
 	"repro/internal/core"
 	"repro/internal/equiv"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/network"
 	"repro/internal/rect"
@@ -19,10 +20,10 @@ import (
 )
 
 func intOpt() core.Options {
-	return core.Options{
+	return core.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: 4, MaxVisits: 20000},
 		BatchK: 16,
-	}
+	}}
 }
 
 // TestPipelineAllAlgorithms runs every algorithm on the same
@@ -93,7 +94,7 @@ func TestPipelineScriptAndIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := nw.Clone()
-	res := script.Run(nw, script.Options{Rect: intOpt().Rect, BatchK: 16})
+	res := script.Run(nw, script.Options{Options: intOpt().Options})
 	if res.FinalLC >= res.InitialLC {
 		t.Fatalf("script did not improve: %d -> %d", res.InitialLC, res.FinalLC)
 	}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/network"
 	"repro/internal/rect"
 )
 
 func ablOpt() Options {
-	return Options{Rect: rect.Config{MaxCols: 4, MaxVisits: 20000}, BatchK: 16}
+	return Options{Options: extract.Options{Rect: rect.Config{MaxCols: 4, MaxVisits: 20000}, BatchK: 16}}
 }
 
 func TestAblationZeroCostCheckStaysEquivalent(t *testing.T) {

@@ -6,35 +6,26 @@ import (
 
 	"repro/internal/extract"
 	"repro/internal/kcm"
-	"repro/internal/kernels"
 	"repro/internal/network"
 	"repro/internal/partition"
-	"repro/internal/rect"
 	"repro/internal/vtime"
 )
 
 // Options configures a parallel factorization run.
 type Options struct {
-	// Kernel tunes kernel generation.
-	Kernel kernels.Options
-	// Rect bounds every rectangle search.
-	Rect rect.Config
+	// Options holds the extraction knobs every driver shares. Its
+	// BatchK applies to the sequential, partitioned and L-shaped
+	// covers; the replicated algorithm always synchronizes per
+	// rectangle — that lockstep is the very property §3 measures.
+	// Its BuildWorkers sets the goroutines of the sharded KC-matrix
+	// build (DESIGN.md §12) without touching virtual-time charging:
+	// the *modeled* matrix-generation split stays the per-driver node
+	// partition regardless of how many real goroutines kernel the
+	// nodes.
+	extract.Options
 	// Partition tunes the min-cut partitioner (Partitioned and
 	// LShaped algorithms).
 	Partition partition.Options
-	// BatchK, when > 1, harvests up to BatchK cube-disjoint
-	// rectangles per search enumeration in the sequential,
-	// partitioned and L-shaped covers (see extract.Options). The
-	// replicated algorithm always synchronizes per rectangle —
-	// that lockstep is the very property §3 measures.
-	BatchK int
-	// BuildWorkers is the goroutine count for the sharded KC-matrix
-	// build (DESIGN.md §12); 0 picks GOMAXPROCS. Labels are
-	// bit-identical for any value, and virtual-time charging is
-	// untouched: the *modeled* matrix-generation split stays the
-	// per-driver node partition regardless of how many real
-	// goroutines kernel the nodes.
-	BuildWorkers int
 	// Model supplies the virtual-time cost constants; the zero
 	// value means vtime.DefaultModel().
 	Model vtime.Model
@@ -137,12 +128,7 @@ func chargeWork(mc *vtime.Machine, w int, work extract.Work) {
 func Sequential(ctx context.Context, nw *network.Network, opt Options) RunResult {
 	mc := vtime.NewMachine(1, opt.model())
 	start := time.Now()
-	res, calls := extract.Repeat(ctx, nw, nil, extract.Options{
-		Kernel:       opt.Kernel,
-		Rect:         opt.Rect,
-		BatchK:       opt.BatchK,
-		BuildWorkers: opt.BuildWorkers,
-	})
+	res, calls := extract.Repeat(ctx, nw, nil, opt.Options)
 	chargeWork(mc, 0, res.Work)
 	return RunResult{
 		Algorithm:   "sequential",

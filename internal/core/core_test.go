@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/gen"
 	"repro/internal/network"
 )
 
@@ -174,5 +175,27 @@ func TestSpeedupHelper(t *testing.T) {
 	}
 	if Speedup(base, RunResult{}) != 0 {
 		t.Fatal("zero time must yield zero speedup")
+	}
+}
+
+// TestPartitionedSeqStaysEquivalent pins merge-back on a circuit where
+// extract.Repeat re-divides earlier kernel nodes by later ones, so a
+// partition's new nodes read new nodes created after them.
+func TestPartitionedSeqStaysEquivalent(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		nw, err := gen.Benchmark("seq")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := nw.Clone()
+		res := Partitioned(context.Background(), nw, p, ablOpt())
+		if res.Failure != nil {
+			t.Fatalf("p=%d: %v", p, res.Failure)
+		}
+		if err := equiv.Check(ref, nw, equiv.Options{
+			ExhaustiveLimit: 0, RandomVectors: 512, Seed: 19,
+		}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
 	}
 }

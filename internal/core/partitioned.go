@@ -95,12 +95,7 @@ func Partitioned(ctx context.Context, nw *network.Network, p int, opt Options) R
 		Guard("partitioned", idx, func(f *WorkerFailure) { wf = f }, func() {
 			fault.Inject(fault.PointPartitionedExtract)
 			clone := nw.CloneDetached()
-			r, calls := extract.Repeat(ctx, clone, parts[idx], extract.Options{
-				Kernel:       opt.Kernel,
-				Rect:         opt.Rect,
-				BatchK:       opt.BatchK,
-				BuildWorkers: opt.BuildWorkers,
-			})
+			r, calls := extract.Repeat(ctx, clone, parts[idx], opt.Options)
 			clones[idx] = clone
 			results[idx] = r
 			callCounts[idx] = calls
@@ -242,15 +237,18 @@ func mergeBack(main, clone *network.Network, part []sop.Var, orig map[sop.Var]bo
 		}
 		return sop.NewExpr(cubes...)
 	}
-	// New nodes in creation order only ever reference original
-	// variables or earlier new nodes, so one forward pass suffices.
-	// Generated names can collide with node names present in parsed
-	// input (nothing stops a BLIF file from declaring "[w0_0]"), so
-	// keep drawing candidates until one is free — up to the attempts
-	// cap — rather than panicking on a duplicate.
+	// extract.Repeat also re-divides earlier kernel nodes by kernels
+	// created later, so a new node may read a later new node: first
+	// add every new node (in creation order) to fill vmap, then set
+	// their translated functions. Generated names can collide with
+	// node names present in parsed input (nothing stops a BLIF file
+	// from declaring "[w0_0]"), so keep drawing candidates until one
+	// is free — up to the attempts cap — rather than panicking on a
+	// duplicate.
 	i := 0
 	var added []sop.Var
-	for _, v := range clone.NodeVars() {
+	cloneVars := clone.NodeVars()
+	for _, v := range cloneVars {
 		if orig[v] {
 			continue
 		}
@@ -260,7 +258,7 @@ func mergeBack(main, clone *network.Network, part []sop.Var, orig map[sop.Var]bo
 			name := fmt.Sprintf("[w%d_%d]", w, i)
 			i++
 			var err error
-			if mv, err = main.AddNode(name, translate(clone.Node(v).Fn)); err == nil {
+			if mv, err = main.AddNode(name, sop.Zero()); err == nil {
 				found = true
 				break
 			}
@@ -273,6 +271,12 @@ func mergeBack(main, clone *network.Network, part []sop.Var, orig map[sop.Var]bo
 		}
 		added = append(added, mv)
 		vmap[v] = mv
+	}
+	for _, v := range cloneVars {
+		if !orig[v] {
+			// vmap[v] was just added to main, so SetFn cannot fail.
+			_ = main.SetFn(vmap[v], translate(clone.Node(v).Fn))
+		}
 	}
 	for _, v := range part {
 		if err := main.SetFn(v, translate(clone.Node(v).Fn)); err != nil {

@@ -28,28 +28,18 @@ import (
 	"repro/internal/sop"
 )
 
-// Options configures an extraction call.
+// Options configures an extraction call. It is the one set of
+// extraction knobs: core.Options and script.Options embed it.
 type Options struct {
 	// Kernel tunes kernel generation.
 	Kernel kernels.Options
 	// Rect bounds the rectangle search.
 	Rect rect.Config
-	// MaxExtractions caps rectangles extracted in this call;
-	// 0 means until no profitable rectangle remains.
-	MaxExtractions int
 	// BatchK, when > 1, harvests up to BatchK cube-disjoint
 	// rectangles per search enumeration instead of one — the same
 	// greedy cover with the enumeration cost amortized. 0/1 is the
 	// faithful one-rectangle-per-search SIS behaviour.
 	BatchK int
-	// OnExtract, when non-nil, observes each accepted rectangle.
-	OnExtract func(kernel sop.Expr, r rect.Rect)
-	// Patcher, when non-nil, supplies the incremental matrix builder:
-	// the call reuses its cached per-node kernels and re-kernels only
-	// nodes marked dirty (by earlier calls on the same patcher). When
-	// nil, a call-local patcher is used — still the parallel proto
-	// build, but with no caching across calls.
-	Patcher *kcm.Patcher
 	// BuildWorkers is the worker count for the sharded matrix build.
 	// 0 picks GOMAXPROCS; the result is bit-identical to a sequential
 	// build for any value.
@@ -120,13 +110,15 @@ type Result struct {
 // promptly with Result.Cancelled set and the network function-
 // equivalent to its input (every completed extraction preserves it).
 func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) Result {
+	return kernelExtract(ctx, nw, nodes, opt, kcm.NewPatcher(0, opt.Kernel))
+}
+
+// kernelExtract is KernelExtract on the incremental builder pat: the
+// call reuses pat's cached per-node kernels, re-kernels only nodes
+// marked dirty by earlier calls, and marks the nodes it rewrites.
+func kernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options, pat *kcm.Patcher) Result {
 	if nodes == nil {
 		nodes = nw.NodeVars()
-	}
-	var res Result
-	pat := opt.Patcher
-	if pat == nil {
-		pat = kcm.NewPatcher(0, opt.Kernel)
 	}
 	workers := opt.BuildWorkers
 	if workers <= 0 {
@@ -134,57 +126,61 @@ func KernelExtract(ctx context.Context, nw *network.Network, nodes []sop.Var, op
 	}
 	before := pat.Stats()
 	m := pat.Rebuild(ctx, nw, nodes, workers)
-	res.Build = pat.Stats().Sub(before)
+	build := pat.Stats().Sub(before)
+	// GreedyCover checks ctx before its first search, so the partial
+	// matrix of a cancelled build is never covered.
+	res, _, dirty := GreedyCover(ctx, nw, m, rect.NewCover(m), nil, opt)
+	for _, v := range dirty {
+		pat.MarkDirty(v)
+	}
+	res.Build = build
 	// Only work actually performed is charged: rows and entries served
 	// from the patcher's cache cost nothing this call.
-	res.Work.KernelPairs += int(res.Build.PairsKerneled)
-	res.Work.MatrixEntries += int(res.Build.EntriesBuilt)
-	if ctx.Err() != nil {
-		res.Cancelled = true
-		return res
-	}
-	covered := rect.NewCover(m)
+	res.Work.KernelPairs += int(build.PairsKerneled)
+	res.Work.MatrixEntries += int(build.EntriesBuilt)
+	return res
+}
+
+// GreedyCover is the greedy rectangle cover of one matrix (paper §2):
+// it repeatedly searches m for up to opt.BatchK best rectangles,
+// materializes each one's kernel as a new node and divides the nodes
+// of its rows, until no profitable rectangle remains or ctx is
+// cancelled (checked before every search). Entries are valued by val,
+// or through covered when val is nil (rect.Config.Cover's fast path);
+// every applied rectangle's cubes are marked in covered either way.
+//
+// It returns the cover's counters (Iterations, Extracted,
+// GainEstimate, Work.SearchVisits and Work.DivisionCubes), the kernel
+// nodes it created and the nodes whose functions it rewrote, in
+// extraction order.
+func GreedyCover(ctx context.Context, nw *network.Network, m *kcm.Matrix, covered *rect.Cover, val rect.Valuer, opt Options) (res Result, created, dirty []sop.Var) {
 	cfg := opt.Rect
-	cfg.Cover = covered
-	k := opt.BatchK
-	if k < 1 {
-		k = 1
+	if val == nil {
+		cfg.Cover = covered
 	}
-outer:
+	k := max(opt.BatchK, 1)
 	for {
 		if ctx.Err() != nil {
 			res.Cancelled = true
-			break
-		}
-		if opt.MaxExtractions > 0 && res.Extracted >= opt.MaxExtractions {
-			break
+			return res, created, dirty
 		}
 		res.Iterations++
-		batch, stats := rect.BestK(m, cfg, nil, k)
+		batch, stats := rect.BestK(m, cfg, val, k)
 		res.Work.SearchVisits += stats.Visits
 		if len(batch) == 0 {
-			break
+			return res, created, dirty
 		}
 		for _, best := range batch {
-			if opt.MaxExtractions > 0 && res.Extracted >= opt.MaxExtractions {
-				break outer
-			}
-			kernel := KernelOf(m, best)
-			_, dirty, touched, changed := ApplyRect(nw, m, best, kernel, covered)
-			for _, dv := range dirty {
-				pat.MarkDirty(dv)
-			}
+			v, d, touched, changed := ApplyRect(nw, m, best, KernelOf(m, best), covered)
+			dirty = append(dirty, d...)
 			res.Work.DivisionCubes += touched
-			if changed && opt.OnExtract != nil {
-				opt.OnExtract(kernel, best)
-			}
 			if changed {
 				res.Extracted++
 				res.GainEstimate += best.Gain
+				created = append(created, v)
 			}
 		}
 	}
-	return res
 }
 
 // Repeat calls KernelExtract until a call extracts nothing, the way a
@@ -192,16 +188,14 @@ outer:
 // accumulated result and the number of calls made. A cancelled ctx
 // ends the loop at the next call boundary with Cancelled set.
 //
-// Repeat owns one incremental Patcher across all its calls (unless the
-// caller supplied one): every call after the first re-kernels only the
-// nodes the previous call's divisions touched, instead of rebuilding
-// the whole matrix from scratch.
+// Repeat owns one incremental Patcher across all its calls: every call
+// after the first re-kernels only the nodes the previous call's
+// divisions touched, instead of rebuilding the whole matrix from
+// scratch.
 func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Options) (Result, int) {
 	var total Result
 	calls := 0
-	if opt.Patcher == nil {
-		opt.Patcher = kcm.NewPatcher(0, opt.Kernel)
-	}
+	pat := kcm.NewPatcher(0, opt.Kernel)
 	active := nodes
 	if active == nil {
 		active = nw.NodeVars()
@@ -209,7 +203,7 @@ func Repeat(ctx context.Context, nw *network.Network, nodes []sop.Var, opt Optio
 	for {
 		calls++
 		before := nw.NumNodes()
-		res := KernelExtract(ctx, nw, active, opt)
+		res := kernelExtract(ctx, nw, active, opt, pat)
 		total.Extracted += res.Extracted
 		total.Iterations += res.Iterations
 		total.GainEstimate += res.GainEstimate

@@ -37,21 +37,25 @@ func TestKernelExtractPaperNetwork(t *testing.T) {
 	}
 }
 
-func TestKernelExtractFirstKernelIsAB(t *testing.T) {
+// bestOnPaperNetwork runs the first greedy step of the sequential
+// cover on the Eq. 1 network: build the matrix, pick the best
+// rectangle.
+func bestOnPaperNetwork(t *testing.T) (*network.Network, *kcm.Matrix, *rect.Cover, rect.Rect) {
+	t.Helper()
 	nw := network.PaperExample()
-	var first sop.Expr
-	seen := false
-	KernelExtract(context.Background(), nw, nil, Options{OnExtract: func(k sop.Expr, _ rectArg) {
-		if !seen {
-			first = k
-			seen = true
-		}
-	}})
-	if !seen {
-		t.Fatal("no extraction observed")
+	m := kcm.Build(context.Background(), nw, nw.NodeVars(), kernels.Options{})
+	covered := rect.NewCover(m)
+	best, _ := rect.Best(m, rect.Config{Cover: covered}, nil)
+	if best.Rows == nil {
+		t.Fatal("no profitable rectangle on the paper network")
 	}
-	if first.Format(nw.Names.Fmt()) != "a + b" {
-		t.Fatalf("first kernel %s want a + b", first.Format(nw.Names.Fmt()))
+	return nw, m, covered, best
+}
+
+func TestKernelExtractFirstKernelIsAB(t *testing.T) {
+	nw, m, _, best := bestOnPaperNetwork(t)
+	if got := KernelOf(m, best).Format(nw.Names.Fmt()); got != "a + b" {
+		t.Fatalf("first kernel %s want a + b", got)
 	}
 }
 
@@ -73,15 +77,19 @@ func TestRepeatReachesFixpoint(t *testing.T) {
 	_ = res
 }
 
-func TestKernelExtractMaxExtractions(t *testing.T) {
-	nw := network.PaperExample()
-	res := KernelExtract(context.Background(), nw, nil, Options{MaxExtractions: 1})
-	if res.Extracted != 1 {
-		t.Fatalf("extracted = %d want 1", res.Extracted)
+func TestKernelExtractFirstStep(t *testing.T) {
+	// The first greedy step alone: extracting a+b takes the paper
+	// network from 33 to 33 - 8 = 25 literals.
+	nw, m, covered, best := bestOnPaperNetwork(t)
+	ref := nw.Clone()
+	if _, _, _, changed := ApplyRect(nw, m, best, KernelOf(m, best), covered); !changed {
+		t.Fatal("first rectangle changed nothing")
 	}
-	// One extraction of a+b: 33 - 8 = 25 literals.
 	if nw.Literals() != 25 {
 		t.Fatalf("LC after one extraction = %d want 25", nw.Literals())
+	}
+	if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -289,9 +297,6 @@ func randomNetwork(r *rand.Rand) *network.Network {
 	}
 	return nw
 }
-
-// rectArg aliases rect.Rect for the OnExtract signature.
-type rectArg = rect.Rect
 
 // TestRepeatPatcherMatchesFreshPatchers pins the equivalence the
 // incremental build rests on: Repeat, which shares one Patcher across

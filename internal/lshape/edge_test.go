@@ -1,9 +1,11 @@
 package lshape
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
@@ -34,14 +36,14 @@ func TestDistributeEmptyPartition(t *testing.T) {
 	}
 }
 
-func TestExtractCallEmptyPartitions(t *testing.T) {
+func TestRunEmptyPartitions(t *testing.T) {
 	nw := network.PaperExample()
 	F, _ := nw.Names.Lookup("F")
 	G, _ := nw.Names.Lookup("G")
 	H, _ := nw.Names.Lookup("H")
 	parts := [][]sop.Var{{F, G, H}, {}, {}}
 	ref := nw.Clone()
-	res := ExtractCall(nw, parts, Options{})
+	res, _ := Run(context.Background(), nw, parts, extract.Options{})
 	if res.Extracted == 0 {
 		t.Fatal("nothing extracted")
 	}
@@ -53,7 +55,7 @@ func TestExtractCallEmptyPartitions(t *testing.T) {
 func TestRunMoreWaysThanNodes(t *testing.T) {
 	nw := network.PaperExample() // 3 nodes, 6-way partition
 	ref := nw.Clone()
-	Run(nw, 6, Options{})
+	runKWay(nw, 6, extract.Options{})
 	if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestSequentialLWithRestrictedSearch(t *testing.T) {
 	// equivalence.
 	nw := network.PaperExample()
 	ref := nw.Clone()
-	Run(nw, 2, Options{Rect: rect.Config{MaxCols: 2, MaxVisits: 50}})
+	runKWay(nw, 2, extract.Options{Rect: rect.Config{MaxCols: 2, MaxVisits: 50}})
 	if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
 		t.Fatal(err)
 	}

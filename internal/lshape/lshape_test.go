@@ -9,6 +9,7 @@ import (
 	"repro/internal/kcm"
 	"repro/internal/kernels"
 	"repro/internal/network"
+	"repro/internal/partition"
 	"repro/internal/sop"
 )
 
@@ -175,13 +176,13 @@ func TestAssembleConsistentCubeIDs(t *testing.T) {
 	}
 }
 
-func TestExtractCallPaperQuality(t *testing.T) {
-	// One L-shaped call on the 2-way partition must find the a+b
-	// rectangle spanning both partitions (the overlap at work) and
-	// end equivalent to the original.
+func TestRunPaperPartitionQuality(t *testing.T) {
+	// L-shaped extraction on the Example 5.1 partition must find the
+	// a+b rectangle spanning both partitions (the overlap at work)
+	// and end equivalent to the original.
 	nw, parts, _ := paperSetup(t)
 	ref := nw.Clone()
-	res := ExtractCall(nw, parts, Options{})
+	res, _ := Run(context.Background(), nw, parts, extract.Options{})
 	if res.Extracted == 0 {
 		t.Fatal("nothing extracted")
 	}
@@ -192,8 +193,14 @@ func TestExtractCallPaperQuality(t *testing.T) {
 	// (26 literals, Example 4.1): a+b is extracted once, not
 	// duplicated.
 	if nw.Literals() > 24 {
-		t.Fatalf("LC after one L-shaped call = %d, want <= 24", nw.Literals())
+		t.Fatalf("LC after L-shaped extraction = %d, want <= 24", nw.Literals())
 	}
+}
+
+// runKWay partitions nw k ways by min-cut, as Table 4 does, and runs
+// L-shaped extraction on the parts.
+func runKWay(nw *network.Network, k int, opt extract.Options) (extract.Result, int) {
+	return Run(context.Background(), nw, partition.KWay(nw, nil, k, partition.Options{}), opt)
 }
 
 func TestRunMatchesSequentialQuality(t *testing.T) {
@@ -203,15 +210,15 @@ func TestRunMatchesSequentialQuality(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		nw := network.PaperExample()
 		ref := nw.Clone()
-		res := Run(nw, k, Options{})
+		_, calls := runKWay(nw, k, extract.Options{})
 		if err := equiv.Check(ref, nw, equiv.Options{}); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if lc := nw.Literals(); lc > 23 {
 			t.Fatalf("k=%d: LC = %d want <= 23", k, lc)
 		}
-		if res.Calls < 2 {
-			t.Fatalf("k=%d: calls = %d", k, res.Calls)
+		if calls < 2 {
+			t.Fatalf("k=%d: calls = %d", k, calls)
 		}
 	}
 }
@@ -220,7 +227,7 @@ func TestRunSinglePartEqualsSequential(t *testing.T) {
 	// k=1 L-shaped extraction degenerates to plain sequential
 	// extraction: same final literal count.
 	a := network.PaperExample()
-	Run(a, 1, Options{})
+	runKWay(a, 1, extract.Options{})
 	b := network.PaperExample()
 	extract.Repeat(context.Background(), b, nil, extract.Options{})
 	if a.Literals() != b.Literals() {

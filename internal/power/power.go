@@ -146,11 +146,11 @@ func NetworkActivityCost(nw *network.Network, act *Activities) float64 {
 	return t
 }
 
-// Extract performs greedy power-weighted kernel extraction: the same
-// build-once-cover-greedily loop as extract.KernelExtract, but with
-// rectangle values weighted by switching activity. Activities are
-// recomputed per call so new nodes get probabilities too.
-func Extract(nw *network.Network, opt kernels.Options, rc rect.Config, maxExtractions int) (Result, error) {
+// Extract performs greedy power-weighted kernel extraction: one
+// matrix build and extract.GreedyCover, the cover of
+// extract.KernelExtract, with rectangle values weighted by switching
+// activity.
+func Extract(nw *network.Network, opt kernels.Options, rc rect.Config) (Result, error) {
 	act, err := Compute(nw, 0.5)
 	if err != nil {
 		return Result{}, err
@@ -159,22 +159,11 @@ func Extract(nw *network.Network, opt kernels.Options, rc rect.Config, maxExtrac
 		LCBefore:       nw.Literals(),
 		ActivityBefore: NetworkActivityCost(nw, act),
 	}
-	m := kcm.Build(context.Background(), nw, nw.NodeVars(), opt)
+	ctx := context.Background()
+	m := kcm.Build(ctx, nw, nw.NodeVars(), opt)
 	covered := rect.NewCover(m)
-	val := act.Valuer(m, covered, 16)
-	for {
-		if maxExtractions > 0 && res.Extracted >= maxExtractions {
-			break
-		}
-		best, _ := rect.Best(m, rc, val)
-		if best.Rows == nil {
-			break
-		}
-		kernel := extract.KernelOf(m, best)
-		if _, _, _, changed := extract.ApplyRect(nw, m, best, kernel, covered); changed {
-			res.Extracted++
-		}
-	}
+	cover, _, _ := extract.GreedyCover(ctx, nw, m, covered, act.Valuer(m, covered, 16), extract.Options{Rect: rc})
+	res.Extracted = cover.Extracted
 	act2, err := Compute(nw, 0.5)
 	if err != nil {
 		return res, err

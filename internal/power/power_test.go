@@ -76,7 +76,7 @@ func TestCubeActivity(t *testing.T) {
 func TestExtractReducesActivity(t *testing.T) {
 	nw := network.PaperExample()
 	ref := nw.Clone()
-	res, err := Extract(nw, kernelOpts(), rect.Config{MaxCols: 5, MaxVisits: 50000}, 0)
+	res, err := Extract(nw, kernelOpts(), rect.Config{MaxCols: 5, MaxVisits: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}

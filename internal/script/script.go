@@ -12,19 +12,14 @@ import (
 	"time"
 
 	"repro/internal/extract"
-	"repro/internal/kernels"
 	"repro/internal/network"
-	"repro/internal/rect"
 	"repro/internal/sop"
 )
 
 // Options configures the flow.
 type Options struct {
-	// Kernel, Rect and BatchK configure factorization, as in
-	// extract.Options.
-	Kernel kernels.Options
-	Rect   rect.Config
-	BatchK int
+	// Options configures every kernel-extraction phase.
+	extract.Options
 	// MaxPasses caps script passes (default 8).
 	MaxPasses int
 }
@@ -86,9 +81,7 @@ func Run(nw *network.Network, opt Options) Result {
 		phase("sweep", func() int64 { return int64(Sweep(nw)) })
 		phase("simplify", func() int64 { return int64(Simplify(nw)) })
 		phase("gkx", func() int64 {
-			r := extract.KernelExtract(context.Background(), nw, nil, extract.Options{
-				Kernel: opt.Kernel, Rect: opt.Rect, BatchK: opt.BatchK,
-			})
+			r := extract.KernelExtract(context.Background(), nw, nil, opt.Options)
 			return int64(r.Work.Total())
 		})
 		phase("cube", func() int64 {
@@ -96,9 +89,7 @@ func Run(nw *network.Network, opt Options) Result {
 			return int64(r.Work.Total())
 		})
 		phase("gkx", func() int64 {
-			r := extract.KernelExtract(context.Background(), nw, nil, extract.Options{
-				Kernel: opt.Kernel, Rect: opt.Rect, BatchK: opt.BatchK,
-			})
+			r := extract.KernelExtract(context.Background(), nw, nil, opt.Options)
 			return int64(r.Work.Total())
 		})
 		phase("eliminate", func() int64 { return int64(Eliminate(nw)) })

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/kcm"
 	"repro/internal/network"
 	"repro/internal/rect"
@@ -112,10 +113,10 @@ func (s Spec) Validate() error {
 
 // CoreOptions translates the spec into driver options.
 func (s Spec) CoreOptions() core.Options {
-	return core.Options{
+	return core.Options{Options: extract.Options{
 		Rect:   rect.Config{MaxCols: s.MaxCols, MaxVisits: s.MaxVisits},
 		BatchK: s.BatchK,
-	}
+	}}
 }
 
 // Result is a completed factorization: the run metrics and the

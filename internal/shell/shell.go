@@ -37,10 +37,10 @@ type Shell struct {
 func New(out io.Writer) *Shell {
 	return &Shell{
 		out: out,
-		opt: core.Options{
+		opt: core.Options{Options: extract.Options{
 			Rect:   rect.Config{MaxCols: 5, MaxVisits: 100000},
 			BatchK: 16,
-		},
+		}},
 	}
 }
 
@@ -126,7 +126,7 @@ func (s *Shell) Exec(line string) (quit bool, err error) {
 		err = s.decomp(args)
 	case "script":
 		err = s.withNet(func() {
-			r := script.Run(s.nw, script.Options{Rect: s.opt.Rect, BatchK: s.opt.BatchK})
+			r := script.Run(s.nw, script.Options{Options: s.opt.Options})
 			fmt.Fprintf(s.out, "lits %d -> %d in %d passes (%d factorizations)\n",
 				r.InitialLC, r.FinalLC, r.Passes, r.FacInvocations)
 		})

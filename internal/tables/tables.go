@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/gen"
 	"repro/internal/kcm"
 	"repro/internal/kernels"
@@ -45,10 +46,10 @@ func DefaultConfig() Config {
 	return Config{
 		Circuits: []string{"dalu", "des", "seq", "spla", "ex1010"},
 		Procs:    []int{2, 4, 6},
-		Opt: core.Options{
+		Opt: core.Options{Options: extract.Options{
 			Rect:   rect.Config{MaxCols: 5, MaxVisits: 100000},
 			BatchK: 16,
-		},
+		}},
 		ReplicatedMaxVisits: 20000,
 		ReplicatedBudget:    6_000_000,
 	}
@@ -120,11 +121,7 @@ func (h *Harness) Table1() []T1Row {
 	var rows []T1Row
 	for _, name := range h.cfg.Circuits {
 		nw := h.Circuit(name)
-		res := script.Run(nw, script.Options{
-			Kernel: h.cfg.Opt.Kernel,
-			Rect:   h.cfg.Opt.Rect,
-			BatchK: h.cfg.Opt.BatchK,
-		})
+		res := script.Run(nw, script.Options{Options: h.cfg.Opt.Options})
 		row := T1Row{
 			Name:         name,
 			InitialLC:    res.InitialLC,
@@ -305,12 +302,8 @@ func (h *Harness) Table4() []T4Row {
 		row.SISLC = h.Sequential(name).LC
 		for _, k := range h.cfg.Procs {
 			nw := h.Circuit(name)
-			lshape.Run(nw, k, lshape.Options{
-				Kernel:    h.cfg.Opt.Kernel,
-				Rect:      h.cfg.Opt.Rect,
-				Partition: h.cfg.Opt.Partition,
-				BatchK:    h.cfg.Opt.BatchK,
-			})
+			parts := partition.KWay(nw, nil, k, h.cfg.Opt.Partition)
+			lshape.Run(context.Background(), nw, parts, h.cfg.Opt.Options)
 			row.KWayLC[k] = nw.Literals()
 		}
 		rows = append(rows, row)

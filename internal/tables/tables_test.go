@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/rect"
 )
 
@@ -14,10 +15,10 @@ func smallConfig() Config {
 	return Config{
 		Circuits: []string{"misex3"},
 		Procs:    []int{2, 3},
-		Opt: core.Options{
+		Opt: core.Options{Options: extract.Options{
 			Rect:   rect.Config{MaxCols: 4, MaxVisits: 20000},
 			BatchK: 16,
-		},
+		}},
 		ReplicatedMaxVisits: 8000,
 		ReplicatedBudget:    200_000_000,
 	}
@@ -148,6 +149,27 @@ func TestTable4Quality(t *testing.T) {
 	FprintTable4(&buf, []int{2, 3}, rows)
 	if !strings.Contains(buf.String(), "SIS") {
 		t.Fatal("render missing SIS column")
+	}
+}
+
+// TestTable4MatchesExperiments pins Table 4 to EXPERIMENTS.md's
+// "Measured" rows for misex3 and dalu at the default configuration.
+func TestTable4MatchesExperiments(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Circuits = []string{"dalu"}
+	want := map[string][4]int{ // SIS, 2-way, 4-way, 6-way
+		"misex3": {1187, 1188, 1202, 1202},
+		"dalu":   {2890, 2890, 2930, 2950},
+	}
+	rows := New(cfg).Table4()
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		got := [4]int{r.SISLC, r.KWayLC[2], r.KWayLC[4], r.KWayLC[6]}
+		if got != want[r.Name] {
+			t.Errorf("%s: SIS/2/4/6-way LC = %v want %v", r.Name, got, want[r.Name])
+		}
 	}
 }
 

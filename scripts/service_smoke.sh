@@ -3,7 +3,9 @@
 # and factorctl, start the daemon, submit a circuit, wait for it,
 # download the factored result, and diff it against what a direct
 # cmd/factor run produces with the same parameters. Also checks that
-# an identical resubmission is served from the cache.
+# an identical resubmission is served from the cache, and that a
+# verified partitioned run on a generated circuit completes without
+# falling back to the sequential driver.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,7 @@ trap cleanup EXIT
 go build -o "$tmp/factord" ./cmd/factord
 go build -o "$tmp/factorctl" ./cmd/factorctl
 go build -o "$tmp/factor" ./cmd/factor
+go build -o "$tmp/gencircuit" ./cmd/gencircuit
 
 addr=127.0.0.1:8571
 export FACTORD_ADDR="http://$addr"
@@ -52,6 +55,17 @@ echo "== cache hit on identical resubmission"
 grep -q '"cache_hit": true' "$tmp/status2.json"
 "$tmp/factorctl" stats > "$tmp/stats.json"
 grep -q '"hits": [1-9]' "$tmp/stats.json"
+
+echo "== verified partitioned run (seq, p=2)"
+"$tmp/gencircuit" -bench seq -o "$tmp/seq.blif"
+"$tmp/factorctl" submit -algo part -p 2 -verify -wait "$tmp/seq.blif" > "$tmp/status3.json"
+grep -q '"state": "DONE"' "$tmp/status3.json"
+grep -q '"verified": true' "$tmp/status3.json"
+if grep -q '"degraded"' "$tmp/status3.json"; then
+    echo "partitioned run degraded to the sequential fallback" >&2
+    cat "$tmp/status3.json" >&2
+    exit 1
+fi
 
 echo "== graceful drain"
 kill -TERM "$pid"
